@@ -113,15 +113,17 @@ def _timed_probes(bwa: BlackWhiteArray, op: str, probes: list[int]) -> tuple[int
     was_enabled = gc.isenabled()
     gc.disable()
     elapsed = None
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        for v in probes:
-            fn(v)
-        once = time.perf_counter_ns() - t0
-        if elapsed is None or once < elapsed:
-            elapsed = once
-    if was_enabled:
-        gc.enable()
+    try:
+        for _ in range(repeats):
+            t0 = time.perf_counter_ns()
+            for v in probes:
+                fn(v)
+            once = time.perf_counter_ns() - t0
+            if elapsed is None or once < elapsed:
+                elapsed = once
+    finally:
+        if was_enabled:
+            gc.enable()
     return elapsed, (bwa.counters.comparisons - before) // repeats
 
 
@@ -137,12 +139,14 @@ def run_insert_bench(cfg: BenchConfig) -> list[BenchRow]:
             insert = bwa.insert
             was_enabled = gc.isenabled()
             gc.disable()
-            t0 = time.perf_counter_ns()
-            for v in values:
-                insert(v)
-            elapsed = time.perf_counter_ns() - t0
-            if was_enabled:
-                gc.enable()
+            try:
+                t0 = time.perf_counter_ns()
+                for v in values:
+                    insert(v)
+                elapsed = time.perf_counter_ns() - t0
+            finally:
+                if was_enabled:
+                    gc.enable()
             rows.append(BenchRow(m, "insert", cfg.config, cfg.hit_ratio,
                                  elapsed / n, bwa.counters.comparisons / n))
         except MemoryError:

@@ -137,8 +137,12 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         return 1
     bwa = BlackWhiteArray(10)
     insert = bwa.insert
-    for v in values:
-        insert(v)
+    try:
+        for v in values:
+            insert(v)
+    except OverflowError:
+        print(f"bwa sort: {v} does not fit in {bwa.dtype}", file=sys.stderr)
+        return 1
     out = sys.stdout
     out.write(" ".join(map(str, bwa.iter_sorted())))
     out.write("\n")

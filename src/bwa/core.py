@@ -16,6 +16,12 @@ occupancy falls to half, its survivors are demoted one rank down (and merged
 back up if the lower rank was taken), which keeps every active segment
 strictly more than half full.
 
+Every active white segment is sorted over all its slots, voids included: a
+delete only clears the mask bit and leaves the value in place, and a merge
+fills its void tail with the largest merged value.  So one ``searchsorted``
+per segment finds any position, and a scan of the mask from there finds the
+nearest occupied slot.
+
 Thread-safety: none is provided.  Mutating calls need exclusive access;
 read-only calls (search, bounds, extremes, interval, iteration, stats,
 validate) may run concurrently with each other when no writer is active.
@@ -24,6 +30,7 @@ validate) may run concurrently with each other when no writer is active.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -46,8 +53,12 @@ class CapacityExceeded(RuntimeError):
 class Counters:
     """Cost instrumentation.
 
-    ``comparisons`` counts element-order comparisons only (void checks are
-    free); ``moves`` counts slot writes, void padding included.
+    ``comparisons`` counts element comparisons only (void checks are free).
+    A merge is charged what a two-pointer merge of its occupied values
+    compares.  Each bisection of a rank-``r`` segment is charged ``r + 1``,
+    the most a bisection over ``2**r`` slots takes, and each equality check
+    or fold of two segments' candidates is charged 1.  ``moves`` counts slot
+    writes, void padding included.
     """
 
     comparisons: int = 0
@@ -83,9 +94,9 @@ def merge_comparisons(b, w) -> int:
     if nb == 0 or nw == 0:
         return 0
     if b[-1] <= w[-1]:
-        tail = nw - int(np.searchsorted(w, b[-1], side="left"))
+        tail = nw - bisect_left(w, b[-1])
     else:
-        tail = nb - int(np.searchsorted(b, w[-1], side="right"))
+        tail = nb - bisect_right(b, w[-1])
     return nb + nw - tail
 
 
@@ -101,7 +112,7 @@ class BlackWhiteArray:
     ``2**cap_exp`` slots of which ``2**cap_exp - 1`` are usable.
     """
 
-    _SMALL_MERGE = 64  # segment length at or below which merges run in Python
+    _SMALL_MERGE = 8  # source segment length at or below which merges sort lists
 
     def __init__(self, cap_exp: int, policy: GrowthPolicy | str = GrowthPolicy.GROW,
                  dtype=np.int64) -> None:
@@ -267,22 +278,26 @@ class BlackWhiteArray:
         sooner on average when a value is stored more than once.
         """
         t = self._total
+        white = self._white
+        ctr = self.counters
         for rank in range(t.bit_length() - 1, -1, -1):
             if (t >> rank) & 1:
-                idx = self._segment_search(value, rank)
-                if idx is not None:
-                    return idx
+                # the first occupied slot at or after the first slot >= value
+                # holds value if any occupied slot of the segment does
+                p = self._occupied(self._bisect(value, rank, "left"), 2 << rank)
+                if p is not None:
+                    ctr.comparisons += 1
+                    if white[p] == value:
+                        return p
         return None
 
     def minimum(self):
         """Smallest stored value, or None when empty."""
-        found = self._extreme_slot(largest=False)
-        return None if found is None else found[0]
+        return self._value(self._extreme_slot(largest=False))
 
     def maximum(self):
         """Largest stored value, or None when empty."""
-        found = self._extreme_slot(largest=True)
-        return None if found is None else found[0]
+        return self._value(self._extreme_slot(largest=True))
 
     def lower_bound(self, value):
         """Smallest stored value strictly greater than ``value``, or None."""
@@ -298,45 +313,25 @@ class BlackWhiteArray:
             raise ValueError(f"interval requires lo <= hi, got ({lo}, {hi})")
         runs = []
         t = self._total
-        rank = 0
-        while t:
-            if t & 1:
-                left = self._edge(lo, rank, above=True, strict=False)
-                if left is not None:
-                    right = self._edge(hi, rank, above=False, strict=False)
-                    if right is not None and right >= left:
-                        seg = self._white[left:right + 1]
-                        m = self._wmask[left:right + 1]
-                        runs.append(seg.tolist() if m.all() else seg[m].tolist())
-            t >>= 1
-            rank += 1
+        for rank in range(t.bit_length()):
+            if (t >> rank) & 1:
+                i = self._bisect(lo, rank, "left")
+                j = self._bisect(hi, rank, "right")
+                if i < j:
+                    runs.append(self._values(i, j))
         return list(heapq.merge(*runs))
 
     def iter_sorted(self) -> Iterator:
         """All stored values ascending: a multiway merge of the active
         segments, which are each already sorted."""
-        runs = []
         t = self._total
-        rank = 0
-        while t:
-            if t & 1:
-                s = 1 << rank
-                seg = self._white[s:s << 1]
-                m = self._wmask[s:s << 1]
-                runs.append(seg.tolist() if m.all() else seg[m].tolist())
-            t >>= 1
-            rank += 1
-        return heapq.merge(*runs)
+        return heapq.merge(*[self._values(1 << r, 2 << r)
+                             for r in range(t.bit_length()) if (t >> r) & 1])
 
     def stats(self) -> Stats:
-        occupancy = {}
         t = self._total
-        rank = 0
-        while t:
-            if t & 1:
-                occupancy[rank] = self._occ[rank] / (1 << rank)
-            t >>= 1
-            rank += 1
+        occupancy = {r: self._occ[r] / (1 << r)
+                     for r in range(t.bit_length()) if (t >> r) & 1}
         return Stats(size=sum(self._occ), slot_count=self._total,
                      occupancy=occupancy, capacity=1 << self.cap_exp)
 
@@ -375,11 +370,9 @@ class BlackWhiteArray:
             elif n << 1 <= s:
                 problems.append(
                     f"rank {rank}: occupancy {n}/{s} not above one half")
-            if n > 1:
-                seg = self._white[s:s << 1]
-                vals = seg if n == s else seg[m]
-                if not bool((vals[1:] >= vals[:-1]).all()):
-                    problems.append(f"rank {rank}: occupied slots not sorted")
+            seg = self._white[s:s << 1]
+            if not bool((seg[1:] >= seg[:-1]).all()):
+                problems.append(f"rank {rank}: slots not sorted (voids included)")
         return problems
 
     def dump(self) -> str:
@@ -412,7 +405,9 @@ class BlackWhiteArray:
         segment of the destination array.
 
         Only occupied slots take part; they land contiguously from the
-        destination segment's first index and the white tail is void-padded.
+        destination segment's first index, and a white destination's tail is
+        void-padded with the largest merged value, so all its slots stay
+        sorted.
         Black occupied slots always form a prefix of their segment (every
         writer lays them down contiguously), so ``black_n`` fully describes
         the black side and the black array needs no mask.  Returns the
@@ -445,38 +440,22 @@ class BlackWhiteArray:
             return 2
 
         dst = self._black if to_black else self._white
-        wn = self._occ[rank]
-        wseg = self._white[s:e]
+        b = self._black[s:s + black_n]
+        w = self._white[s:e]
+        if self._occ[rank] < s:
+            w = w[self._wmask[s:e]]
         if e - s <= self._SMALL_MERGE:
-            b = self._black[s:s + black_n].tolist()
-            w = wseg.tolist() if wn == s else wseg[self._wmask[s:e]].tolist()
-            nb, nw = black_n, len(w)
-            out = []
-            i = j = 0
-            cmps = 0
-            while i < nb and j < nw:
-                cmps += 1
-                x, y = b[i], w[j]
-                if x <= y:
-                    out.append(x)
-                    i += 1
-                else:
-                    out.append(y)
-                    j += 1
-            out += b[i:] if i < nb else w[j:]
-            n = len(out)
-            dst[e:e + n] = out
-            ctr.comparisons += cmps
+            b, w = b.tolist(), w.tolist()
+            merged = sorted(b + w)
         else:
-            b = self._black[s:s + black_n]
-            w = wseg if wn == s else wseg[self._wmask[s:e]]
-            ctr.comparisons += merge_comparisons(b, w)
             merged = np.concatenate([b, w])
             merged.sort()
-            n = merged.size
-            dst[e:e + n] = merged
+        ctr.comparisons += merge_comparisons(b, w)
+        n = len(merged)
+        dst[e:e + n] = merged
         if not to_black:
             self._wmask[e:e + n] = True
+            self._white[e + n:e << 1] = merged[-1]
             self._wmask[e + n:e << 1] = False
         ctr.moves += e        # destination segment length
         return n
@@ -519,139 +498,82 @@ class BlackWhiteArray:
         elif occ << 1 <= 1 << rank:
             self._demote(rank)
 
-    def _nearest_occupied(self, mid: int, lo: int, hi: int) -> Optional[int]:
-        # Closest occupied slot to mid within [lo, hi].  Ties probe above
-        # first so that a probe landing on `lo` proves (lo, hi) is all void.
-        wmask = self._wmask
-        if wmask[mid]:
-            return mid
-        d = 1
-        while True:
-            up = mid + d
-            down = mid - d
-            up_ok = up <= hi
-            if up_ok and wmask[up]:
-                return up
-            down_ok = down >= lo
-            if down_ok and wmask[down]:
-                return down
-            if not (up_ok or down_ok):
-                return None
-            d += 1
-
-    def _segment_search(self, value, rank: int) -> Optional[int]:
-        # Void-aware bisection: one ordering comparison per level, equality
-        # checks only on the final one or two candidate slots.
-        white = self._white
-        wmask = self._wmask
-        ctr = self.counters
+    def _bisect(self, value, rank: int, side: str) -> int:
+        """Index of the first slot of the rank segment whose value is
+        ``>= value`` (side "left") or ``> value`` (side "right"), or the
+        segment's end when there is none."""
         s = 1 << rank
-        t = (s << 1) - 1
-        while t - s > 1:
-            p = self._nearest_occupied((s + t) >> 1, s, t)
-            if p is None:
-                return None
-            ctr.comparisons += 1
-            if white[p] <= value:
-                if p == s:
-                    break             # interior all void; only s and t remain
-                s = p
-            else:
-                if p == s:
-                    return None       # smallest occupied already too large
-                t = p - 1
-        if wmask[s]:
-            ctr.comparisons += 1
-            if white[s] == value:
-                return s
-        if t != s and wmask[t]:
-            ctr.comparisons += 1
-            if white[t] == value:
-                return t
-        return None
+        self.counters.comparisons += rank + 1
+        return s + int(self._white[s:s << 1].searchsorted(value, side))
 
-    def _edge(self, value, rank: int, above: bool, strict: bool) -> Optional[int]:
-        # Boundary bisection over the occupied subsequence of one segment.
-        # above: leftmost occupied index whose value is > value (>= when not
-        # strict); otherwise rightmost with value < value (<=).
-        white = self._white
+    def _occupied(self, lo: int, hi: int, last: bool = False) -> Optional[int]:
+        """First (``last``: final) occupied slot in ``[lo, hi)``, or None."""
+        if lo >= hi:
+            return None
+        m = self._wmask
+        if last:
+            if m[hi - 1]:
+                return hi - 1
+            # a reversed bool argmax would copy the whole slice first; scan
+            # back in windows growing 8-fold, so the cost follows the void
+            # run's length rather than the range's
+            width = 64
+            while hi > lo:
+                start = max(lo, hi - width)
+                found = m[start:hi].nonzero()[0]
+                if found.size:
+                    return start + int(found[-1])
+                hi = start
+                width <<= 3
+            return None
+        if m[lo]:
+            return lo
+        k = int(m[lo:hi].argmax())
+        return lo + k if k else None
+
+    def _values(self, lo: int, hi: int) -> list:
+        """Occupied values of slots ``[lo, hi)`` in slot order."""
+        seg = self._white[lo:hi]
+        m = self._wmask[lo:hi]
+        return seg.tolist() if m.all() else seg[m].tolist()
+
+    def _value(self, idx: Optional[int]):
+        return None if idx is None else self._white[idx].item()
+
+    def _best(self, slots, largest: bool) -> Optional[int]:
+        """Slot of the largest (or smallest) value among one candidate slot
+        per segment, ``None`` for none; ties keep the lower rank."""
         ctr = self.counters
-        lo = 1 << rank
-        hi = (lo << 1) - 1
-        best = None
-        while lo <= hi:
-            p = self._nearest_occupied((lo + hi) >> 1, lo, hi)
+        best = best_value = None
+        for p in slots:
             if p is None:
-                break
-            ctr.comparisons += 1
-            x = white[p]
-            if above:
-                ok = x > value if strict else x >= value
-            else:
-                ok = x < value if strict else x <= value
-            if ok:
-                best = p
-                if above:
-                    hi = p - 1
-                else:
-                    lo = p + 1
-            elif above:
-                lo = p + 1
-            else:
-                hi = p - 1
+                continue
+            x = self._white[p].item()
+            if best is not None:
+                ctr.comparisons += 1
+                if not ((x > best_value) if largest else (x < best_value)):
+                    continue
+            best, best_value = p, x
         return best
 
     def _bound(self, value, above: bool):
-        ctr = self.counters
-        best = None
         t = self._total
-        rank = 0
-        while t:
-            if t & 1:
-                p = self._edge(value, rank, above=above, strict=True)
-                if p is not None:
-                    x = self._white[p].item()
-                    if best is None:
-                        best = x
-                    else:
-                        ctr.comparisons += 1
-                        if (x < best) if above else (x > best):
-                            best = x
-            t >>= 1
-            rank += 1
-        return best
+        if above:
+            slots = [self._occupied(self._bisect(value, r, "right"), 2 << r)
+                     for r in range(t.bit_length()) if (t >> r) & 1]
+        else:
+            slots = [self._occupied(1 << r, self._bisect(value, r, "left"), last=True)
+                     for r in range(t.bit_length()) if (t >> r) & 1]
+        return self._value(self._best(slots, largest=not above))
 
-    def _extreme_slot(self, largest: bool) -> Optional[tuple]:
-        # Per active segment the extreme sits at the occupied slot nearest
-        # the segment's top (largest) or bottom; then fold across segments.
-        ctr = self.counters
-        best = None
-        best_idx = None
+    def _extreme_slot(self, largest: bool) -> Optional[int]:
         t = self._total
-        rank = 0
-        while t:
-            if t & 1:
-                s = 1 << rank
-                hi = (s << 1) - 1
-                p = self._nearest_occupied(hi if largest else s, s, hi)
-                if p is not None:
-                    x = self._white[p].item()
-                    if best is None:
-                        best = x
-                        best_idx = p
-                    else:
-                        ctr.comparisons += 1
-                        if (x > best) if largest else (x < best):
-                            best = x
-                            best_idx = p
-            t >>= 1
-            rank += 1
-        return None if best_idx is None else (best, best_idx)
+        return self._best([self._occupied(1 << r, 2 << r, last=largest)
+                           for r in range(t.bit_length()) if (t >> r) & 1], largest)
 
     def _extract(self, largest: bool):
-        found = self._extreme_slot(largest)
-        if found is None:
-            return None
-        value, idx = found
-        self._delete_at(idx)
+        idx = self._extreme_slot(largest)
+        value = self._value(idx)
+        if idx is not None:
+            self._delete_at(idx)
         return value

@@ -29,6 +29,11 @@ class TestExtremes:
         assert bwa.segment_slots(3)[-1] is None
         assert bwa.maximum() == 91
         assert bwa.minimum() == 6
+        # two void top slots, both padded with 91
+        bwa.delete(91)
+        assert bwa.maximum() == bwa.upper_bound(100) == 83
+        assert bwa.extract_max() == 83
+        assert bwa.maximum() == 82
 
     def test_full_segment_extremes_sit_at_segment_ends(self):
         rng = random.Random(3)
@@ -45,6 +50,11 @@ class TestExtract:
         assert eight_value_array.segment_slots(3)[0] is None
         assert eight_value_array.occupancy[3] == 7
         assert eight_value_array.validate() == []
+        # a void prefix of two slots
+        assert eight_value_array.extract_min() == 33
+        assert eight_value_array.minimum() == 45
+        assert eight_value_array.lower_bound(0) == 45
+        assert eight_value_array.lower_bound(21) == 45
 
     def test_empty_extract_is_noop(self):
         bwa = BlackWhiteArray(4)
@@ -68,8 +78,11 @@ class TestExtract:
         bwa = BlackWhiteArray(9, "fixed")
         for v in values:
             bwa.insert(v)
-        k = 25
+        k = 100  # leaves a void tail longer than one 64-slot scan window
         assert [bwa.extract_max() for _ in range(k)] == sorted(values)[-k:][::-1]
+        rest = sorted(values)[:-k]
+        assert bwa.maximum() == bwa.upper_bound(10 ** 6) == rest[-1]
+        assert bwa.validate() == []
 
 
 class TestBounds:

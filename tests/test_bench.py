@@ -1,9 +1,10 @@
+import gc
 import math
 
 import pytest
 
-from bwa import (BenchConfig, BenchRow, read_csv, run_bench, run_insert_bench,
-                 run_probe_bench, write_csv)
+from bwa import (BenchConfig, BenchRow, BlackWhiteArray, read_csv, run_bench,
+                 run_insert_bench, run_probe_bench, write_csv)
 
 
 def _by_size(rows):
@@ -96,6 +97,21 @@ class TestProbeBench:
         assert {(r.op, r.size_exp) for r in rows} == {
             (op, m) for op in ("insert", "search", "delete")
             for m in (10, 11)}
+
+
+class TestGcRestored:
+    @pytest.mark.parametrize("op, run", [("insert", run_insert_bench),
+                                         ("search", run_probe_bench)])
+    def test_after_memory_error(self, monkeypatch, op, run):
+        def out_of_memory(self, value):
+            raise MemoryError
+
+        monkeypatch.setattr(BlackWhiteArray, op, out_of_memory)
+        assert gc.isenabled()
+        cfg = BenchConfig(min_exp=4, max_exp=5, ops=(op,), config="perfect",
+                          trials=1, seed=1, probes=8)
+        assert run(cfg) == []  # every size skipped
+        assert gc.isenabled()
 
 
 class TestCsv:

@@ -110,6 +110,13 @@ class TestSort:
         assert main(["sort"]) == 1
         assert "bwa sort" in capsys.readouterr().err
 
+    def test_value_outside_int64_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 99999999999999999999 1"))
+        assert main(["sort"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "bwa sort: 99999999999999999999 does not fit in int64\n"
+
 
 class TestTrace:
     def test_cascade_golden(self, tmp_path, capsys):

@@ -122,16 +122,25 @@ class TestInsert:
 
 
 class TestMergeUnit:
+    @staticmethod
+    def _assert_sorted_padding(bwa, rank, n):
+        # every slot of the destination is sorted; the void tail repeats the
+        # largest merged value
+        seg = bwa._white[1 << rank:2 << rank].tolist()
+        assert seg == sorted(seg)
+        assert seg[n:] == [seg[n - 1]] * ((1 << rank) - n)
+
     def test_void_skipping_and_top_padding(self):
         bwa = BlackWhiteArray(4, "fixed")
         bwa._black[4:8] = [6, 52, 67, 83]
-        bwa._white[4:8] = [21, 77, 0, 91]
+        bwa._white[4:8] = [21, 77, 80, 91]  # 80 deleted: the value stays
         bwa._wmask[4:8] = [True, True, False, True]
         bwa._occ[2] = 3
         n = bwa._merge(2, to_black=False, black_n=4)
         assert n == 7
         assert bwa._white[8:15].tolist() == [6, 21, 52, 67, 77, 83, 91]
         assert bwa._wmask[8:16].tolist() == [True] * 7 + [False]
+        self._assert_sorted_padding(bwa, 3, n)
 
     def test_single_slot_sources(self):
         bwa = BlackWhiteArray(4, "fixed")
@@ -145,7 +154,7 @@ class TestMergeUnit:
     def test_voids_never_compared(self):
         bwa = BlackWhiteArray(4, "fixed")
         bwa._black[2] = 10
-        bwa._white[2:4] = [0, 20]
+        bwa._white[2:4] = [15, 20]          # 15 deleted: the value stays
         bwa._wmask[2:4] = [False, True]
         bwa._occ[1] = 1
         before = bwa.counters.comparisons
@@ -154,6 +163,26 @@ class TestMergeUnit:
         assert bwa._white[4:6].tolist() == [10, 20]
         assert bwa._wmask[4:8].tolist() == [True, True, False, False]
         assert bwa.counters.comparisons - before == 1
+        self._assert_sorted_padding(bwa, 2, n)
+
+    def test_list_and_array_merges_agree(self):
+        # the merge picks list or numpy sorting by segment size; either
+        # choice must give the same slots and the same counters
+        rng = random.Random(6)
+        ops = [(rng.random() < 0.3, rng.randrange(300)) for _ in range(3000)]
+        states = []
+        for small in (0, 1 << 12):
+            bwa = BlackWhiteArray(4)
+            bwa._SMALL_MERGE = small
+            for delete, v in ops:
+                if delete:
+                    bwa.delete(v)
+                else:
+                    bwa.insert(v)
+            assert bwa.validate() == []
+            states.append((bwa._white.tolist(), bwa._wmask.tolist(),
+                           bwa.counters))
+        assert states[0] == states[1]
 
 
 class TestCapacity:
@@ -219,6 +248,13 @@ class TestValidate:
         seg = eight_value_array._white
         seg[8], seg[15] = seg[15].item(), seg[8].item()
         assert any("not sorted" in p for p in eight_value_array.validate())
+
+    def test_unsorted_void_slot_reported(self, demotion_ready_array):
+        # slot 9 is void; a value above its occupied neighbour 52 leaves the
+        # occupied slots sorted but not the raw slots
+        assert not demotion_ready_array._wmask[9]
+        demotion_ready_array._white[9] = 60
+        assert any("not sorted" in p for p in demotion_ready_array.validate())
 
 
 class TestDump:

@@ -47,6 +47,12 @@ class TestSearch:
         assert demotion_ready_array.search(91) == 7  # rank-2 segment top
         for absent in (7, 60, 100):
             assert demotion_ready_array.search(absent) is None
+        # after the demotion the top segment's void tail pads with 91; once
+        # 91 itself is deleted a search for it finds only voids
+        demotion_ready_array.delete(59)
+        assert demotion_ready_array.delete(91) == 14
+        assert demotion_ready_array._white[14:16].tolist() == [91, 91]
+        assert demotion_ready_array.search(91) is None
 
     def test_highest_rank_searched_first(self):
         bwa = BlackWhiteArray(4, "fixed")
@@ -116,8 +122,12 @@ class TestDelete:
         bwa = BlackWhiteArray(4, "fixed")
         for v in (6, 6, 6, 2):
             bwa.insert(v)
-        assert bwa.delete(6) is not None
+        assert bwa.delete(6) == 5
         assert list(bwa) == [2, 6, 6]
+        # the first slot holding 6 is now void; the next occupied one is found
+        assert bwa.search(6) == 6
+        assert bwa.delete(6) == 6
+        assert list(bwa) == [2, 6]
 
     def test_only_one_demotion_per_delete(self):
         bwa = BlackWhiteArray(8, "grow")
