@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bench import CONFIGS, BenchConfig, run_bench, write_csv
 from .core import BlackWhiteArray
 from .oracle import run_equivalence
@@ -131,18 +133,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_sort(args: argparse.Namespace) -> int:
     tokens = sys.stdin.read().split()
     try:
-        values = [int(t) for t in tokens]
+        values = list(map(int, tokens))
     except ValueError as exc:
         print(f"bwa sort: {exc}", file=sys.stderr)
         return 1
     bwa = BlackWhiteArray(10)
-    insert = bwa.insert
     try:
-        for v in values:
-            insert(v)
+        batch = np.array(values, dtype=bwa.dtype)
     except OverflowError:
+        info = np.iinfo(bwa.dtype)
+        v = next(v for v in values if not info.min <= v <= info.max)
         print(f"bwa sort: {v} does not fit in {bwa.dtype}", file=sys.stderr)
         return 1
+    bwa.insert_many(batch)
     out = sys.stdout
     out.write(" ".join(map(str, bwa.iter_sorted())))
     out.write("\n")

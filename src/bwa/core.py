@@ -11,10 +11,11 @@ when bit ``i`` of ``total`` is set.
 Inserting therefore behaves like incrementing a binary counter.  A new value
 lands in the rank-0 slot when that bit is clear; otherwise it goes to the
 black scratch slot and a carry chain of segment merges runs until it reaches
-the first inactive rank.  Deletion voids a slot in place; when a segment's
-occupancy falls to half, its survivors are demoted one rank down (and merged
-back up if the lower rank was taken), which keeps every active segment
-strictly more than half full.
+the first inactive rank.  Inserting a batch (``insert_many``) adds its size
+to the counter, with one sort per power-of-two block it carries.  Deletion
+voids a slot in place; when a segment's occupancy falls to half, its
+survivors are demoted one rank down (and merged back up if the lower rank
+was taken), which keeps every active segment strictly more than half full.
 
 Every active white segment is sorted over all its slots, voids included: a
 delete only clears the mask bit and leaves the value in place, and a merge
@@ -58,7 +59,11 @@ class Counters:
     compares.  Each bisection of a rank-``r`` segment is charged ``r + 1``,
     the most a bisection over ``2**r`` slots takes, and each equality check
     or fold of two segments' candidates is charged 1.  ``moves`` counts slot
-    writes, void padding included.
+    writes, void padding included.  ``grows`` counts capacity doublings.
+
+    ``insert_many`` charges one ``merges`` per segment it writes and one
+    ``moves`` per slot of that segment; numpy sorts its blocks, so it
+    charges no ``comparisons``.  ``from_values`` leaves every counter at 0.
     """
 
     comparisons: int = 0
@@ -192,31 +197,17 @@ class BlackWhiteArray:
     def from_values(cls, values, cap_exp: Optional[int] = None,
                     policy: GrowthPolicy | str = GrowthPolicy.GROW,
                     dtype=np.int64) -> "BlackWhiteArray":
-        """Bulk constructor: the exact state that inserting ``values`` in
-        order would reach, built with one sort per active rank.
-
-        The carry-chain dynamics put the first ``2**i`` values (for the
-        highest set bit ``i`` of the count) into the rank-``i`` segment, the
-        next block into the next set bit's segment, and so on; sorting each
-        block directly reproduces that state.  Counters stay at zero.
-        """
-        arr = np.asarray(values, dtype=dtype)
-        n = int(arr.size)
+        """Bulk constructor: ``insert_many`` on an empty structure, so the
+        exact state that inserting ``values`` in order would reach.
+        Counters stay at zero."""
+        n = len(values)
         if cap_exp is None:
             cap_exp = max(1, n.bit_length())
         if n >= 1 << cap_exp:
             raise ValueError(f"{n} values exceed capacity {(1 << cap_exp) - 1}")
         bwa = cls(cap_exp, policy=policy, dtype=dtype)
-        offset = 0
-        for rank in range(n.bit_length() - 1, -1, -1):
-            if not (n >> rank) & 1:
-                continue
-            size = 1 << rank
-            bwa._white[size:size << 1] = np.sort(arr[offset:offset + size])
-            bwa._wmask[size:size << 1] = True
-            bwa._occ[rank] = size
-            offset += size
-        bwa._total = n
+        bwa.insert_many(values)
+        bwa.counters.reset()
         return bwa
 
     # -- mutation ---------------------------------------------------------
@@ -229,7 +220,7 @@ class BlackWhiteArray:
                 raise CapacityExceeded(
                     f"all {total} usable slots of a 2**{self.cap_exp}-slot "
                     "structure are in use")
-            self._grow()
+            self._grow(self.cap_exp + 1)
         ctr = self.counters
         if total & 1 == 0:
             self._white[1] = value
@@ -252,6 +243,59 @@ class BlackWhiteArray:
             self._occ[rank] = 0
             self._occ[rank + 1] = n
         self._total = total + 1
+
+    def insert_many(self, values) -> None:
+        """Add every value of ``values``, leaving slot for slot the state
+        that ``for v in values: insert(v)`` would leave.
+
+        All or nothing: a value the dtype cannot hold exactly, or a batch
+        that would pass capacity under the fixed policy, raises before the
+        structure changes.  The batch is added to ``total`` like a number
+        to a binary counter, in aligned power-of-two blocks: each block is
+        as large as the lowest set bit of ``total`` and the values left
+        allow, and is sorted once together with the occupied values of the
+        ranks its carry clears, into the rank it sets.
+        """
+        batch = self._batch(values)
+        k = int(batch.size)
+        total = self._total
+        need = (total + k).bit_length()
+        if need > self.cap_exp:
+            if self.policy is GrowthPolicy.FIXED:
+                raise CapacityExceeded(
+                    f"{k} values exceed the {(1 << self.cap_exp) - 1 - total} "
+                    f"free usable slots of a 2**{self.cap_exp}-slot structure")
+            self._grow(need)
+        white, wmask, occ = self._white, self._wmask, self._occ
+        ctr = self.counters
+        done = 0
+        while done < k:
+            size = 1 << ((k - done).bit_length() - 1)
+            if total:
+                size = min(size, total & -total)
+            low = rank = size.bit_length() - 1
+            parts = [batch[done:done + size]]
+            n = size
+            while (total >> rank) & 1:      # the ranks the carry clears
+                s = 1 << rank
+                parts.append(white[s:s << 1][wmask[s:s << 1]])
+                n += occ[rank]
+                rank += 1
+            s = 1 << rank
+            merged = white[s:s + n]         # above every source segment
+            np.concatenate(parts, out=merged)
+            merged.sort()
+            wmask[s:s + n] = True
+            if n < s:                       # the carry met voids
+                white[s + n:s << 1] = merged[-1]
+                wmask[s + n:s << 1] = False
+            occ[low:rank] = [0] * (rank - low)
+            occ[rank] = n
+            ctr.merges += 1
+            ctr.moves += s
+            total += size
+            done += size
+            self._total = total
 
     def delete(self, value) -> Optional[int]:
         """Void one occurrence; returns the slot index it held, or None."""
@@ -322,11 +366,16 @@ class BlackWhiteArray:
         return list(heapq.merge(*runs))
 
     def iter_sorted(self) -> Iterator:
-        """All stored values ascending: a multiway merge of the active
-        segments, which are each already sorted."""
+        """All stored values ascending: the occupied slots of every active
+        segment, sorted once."""
         t = self._total
-        return heapq.merge(*[self._values(1 << r, 2 << r)
-                             for r in range(t.bit_length()) if (t >> r) & 1])
+        parts = [self._white[1 << r:2 << r][self._wmask[1 << r:2 << r]]
+                 for r in range(t.bit_length()) if (t >> r) & 1]
+        if not parts:
+            return iter(())
+        values = np.concatenate(parts)
+        values.sort()
+        return iter(values.tolist())
 
     def stats(self) -> Stats:
         t = self._total
@@ -391,14 +440,37 @@ class BlackWhiteArray:
 
     # -- internals ----------------------------------------------------------
 
-    def _grow(self) -> None:
-        n = self._white.size
+    def _grow(self, cap_exp: int) -> None:
+        """Resize to ``2**cap_exp`` white slots in one step."""
+        n = (1 << cap_exp) - self._white.size
         self._white = np.concatenate([self._white, np.zeros(n, dtype=self.dtype)])
         self._wmask = np.concatenate([self._wmask, np.zeros(n, dtype=bool)])
         self._black = np.concatenate([self._black, np.zeros(n >> 1, dtype=self.dtype)])
-        self._occ.append(0)
-        self.cap_exp += 1
-        self.counters.grows += 1
+        self._occ += [0] * (cap_exp - self.cap_exp)
+        self.counters.grows += cap_exp - self.cap_exp
+        self.cap_exp = cap_exp
+
+    def _batch(self, values) -> np.ndarray:
+        """``values`` as a 1-D array of the dtype.  Raises OverflowError for
+        an integer outside an integer dtype's range and ValueError for any
+        other value the dtype cannot hold exactly: a fraction on an integer
+        dtype, NaN, an integer a float dtype would round."""
+        if isinstance(values, np.ndarray) and values.dtype == self.dtype:
+            batch, given = values, None
+        else:
+            with np.errstate(invalid="ignore"):     # checked exactly below
+                batch = np.asarray(values, dtype=self.dtype)
+            given = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if batch.ndim != 1:
+            raise ValueError(f"values must form a 1-D batch, not {batch.ndim}-D")
+        if batch.dtype.kind == "f" and np.isnan(batch).any():
+            raise ValueError("NaN has no place in the order")
+        if given is not None and batch.tolist() != given:
+            v = next(g for h, g in zip(batch.tolist(), given) if h != g)
+            if isinstance(v, int) and self.dtype.kind in "iu":
+                raise OverflowError(f"{v} does not fit in {self.dtype}")
+            raise ValueError(f"{v!r} is not exactly representable in {self.dtype}")
+        return batch
 
     def _merge(self, rank: int, to_black: bool, black_n: int) -> int:
         """Merge the black and white segments of ``rank`` into the rank+1

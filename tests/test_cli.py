@@ -117,6 +117,21 @@ class TestSort:
         assert out == ""
         assert err == "bwa sort: 99999999999999999999 does not fit in int64\n"
 
+    def test_first_value_outside_int64_named(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("5 -9223372036854775809 0 9223372036854775808"))
+        assert main(["sort"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "bwa sort: -9223372036854775809 does not fit in int64\n"
+
+    def test_int64_extremes_sorted(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("9223372036854775807 0 -9223372036854775808"))
+        assert main(["sort"]) == 0
+        assert capsys.readouterr().out == \
+            "-9223372036854775808 0 9223372036854775807\n"
+
 
 class TestTrace:
     def test_cascade_golden(self, tmp_path, capsys):

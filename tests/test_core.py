@@ -289,3 +289,145 @@ class TestDtype:
         for v in values:
             bwa.insert(v)
         assert list(bwa) == sorted(values)
+
+
+def _state(bwa):
+    """Everything a failed insert_many must leave alone."""
+    c = bwa.counters
+    return (bwa.total, bwa.occupancy, bwa.cap_exp, bwa._white.tolist(),
+            bwa._wmask.tolist(), bwa._black.tolist(),
+            (c.comparisons, c.moves, c.merges, c.demotes, c.grows))
+
+
+class TestInsertMany:
+    def test_empty_batch_is_a_no_op(self, demotion_ready_array):
+        before = _state(demotion_ready_array)
+        demotion_ready_array.insert_many([])
+        demotion_ready_array.insert_many(np.array([], dtype=np.int64))
+        assert _state(demotion_ready_array) == before
+
+    def test_matches_the_cascade_example(self, eight_value_array):
+        bulk = BlackWhiteArray(4, "fixed")
+        bulk.insert_many(EIGHT)
+        assert bulk.segment_slots(3) == eight_value_array.segment_slots(3)
+        assert bulk.total == 8
+
+    def test_fills_voids_of_the_ranks_it_clears(self):
+        # total 14 holds ranks 1, 2 and 3 with 2, 3 and 5 occupied slots; a
+        # block of two carries through all three into rank 4, which gets
+        # the 12 occupied values and a void tail, and the third value lands
+        # in rank 0
+        scalar = BlackWhiteArray(5)
+        bulk = BlackWhiteArray(5)
+        for bwa in (scalar, bulk):
+            for v in (6, 10, 20, 52, 59, 67, 70, 83, 21, 77, 80, 91, 45, 82):
+                bwa.insert(v)
+            for v in (10, 20, 70, 80):
+                bwa.delete(v)
+        for v in (1, 2, 95):
+            scalar.insert(v)
+        bulk.insert_many([1, 2, 95])
+        assert bulk.dump() == scalar.dump()
+        assert bulk.segment_slots(4) == [1, 2, 6, 21, 45, 52, 59, 67, 77, 82,
+                                         83, 91, None, None, None, None]
+        assert bulk._white[28:32].tolist() == [91] * 4
+        assert bulk.segment_slots(0) == [95]
+        assert bulk.validate() == []
+
+    def test_void_tail_cleared_over_a_stale_segment(self):
+        # rank 4 fills, loses its 8 smallest values and is demoted to rank 3,
+        # leaving set mask bits behind in slots 24-31; a block carried into
+        # rank 4 with voids must clear them in its tail
+        scalar = BlackWhiteArray(5)
+        bulk = BlackWhiteArray(5)
+        for bwa in (scalar, bulk):
+            bwa.insert_many(range(16))
+            for v in range(8):
+                bwa.delete(v)
+            for v in (8, 9, 10):
+                bwa.delete(v)
+            assert bwa.total == 8 and bwa._wmask[24:32].all()
+        for v in range(100, 108):
+            scalar.insert(v)
+        bulk.insert_many(range(100, 108))
+        assert bulk.segment_slots(4) == [11, 12, 13, 14, 15, *range(100, 108),
+                                         None, None, None]
+        assert bulk.segment_slots(4) == scalar.segment_slots(4)
+        assert bulk.validate() == []
+
+    def test_counters_charge_segments_and_slots_written(self):
+        bwa = BlackWhiteArray(4)
+        bwa.insert_many([5, 1, 4, 2, 3])        # rank 2, then rank 0
+        c = bwa.counters
+        assert (c.comparisons, c.moves, c.merges, c.demotes, c.grows) == \
+            (0, 5, 2, 0, 0)
+        bwa.insert_many([9, 0, 7])              # total 5 -> 6 -> 8
+        assert (c.merges, c.moves) == (4, 5 + 2 + 8)
+
+    def test_from_values_leaves_counters_zeroed(self):
+        c = BlackWhiteArray.from_values(range(100, 0, -1)).counters
+        assert (c.comparisons, c.moves, c.merges, c.demotes, c.grows) == (0,) * 5
+
+    def test_grows_in_one_step_counting_doublings(self):
+        bwa = BlackWhiteArray(1, "grow")
+        bwa.insert(7)
+        sizes = []
+        bwa._grow = lambda cap_exp, grow=bwa._grow: (sizes.append(cap_exp),
+                                                     grow(cap_exp))
+        bwa.insert_many(range(100))             # total 101 needs 2**7 slots
+        assert sizes == [7]
+        assert bwa.cap_exp == 7 and bwa.counters.grows == 6
+        assert bwa._white.size == 128 and bwa._black.size == 64
+        assert list(bwa) == sorted([7, *range(100)])
+        assert bwa.validate() == []
+
+    def test_fixed_policy_overflow_leaves_everything(self, demotion_ready_array):
+        bwa = demotion_ready_array           # total 14 of 15 usable slots
+        bwa.insert_many([1])
+        before = _state(bwa)
+        with pytest.raises(CapacityExceeded):
+            bwa.insert_many([2])
+        assert _state(bwa) == before
+        with pytest.raises(CapacityExceeded):
+            BlackWhiteArray(3, "fixed").insert_many(range(8))
+
+
+class TestBoundaryCheck:
+    def test_fraction_into_integer_dtype_rejected(self):
+        with pytest.raises(ValueError, match="2.5"):
+            BlackWhiteArray.from_values([2.5, 7])
+        with pytest.raises(ValueError, match="1.5"):
+            BlackWhiteArray.from_values(np.array([3.0, 1.5]))
+        BlackWhiteArray.from_values([2.0, 7])  # integral floats are exact
+
+    def test_nan_into_float_dtype_rejected(self):
+        for values in ([1.0, float("nan")], np.array([np.nan, 2.0])):
+            with pytest.raises(ValueError, match="NaN"):
+                BlackWhiteArray.from_values(values, dtype=np.float64)
+        bwa = BlackWhiteArray(4, dtype=np.float64)
+        bwa.insert_many([3.5, 1.0])
+        before = _state(bwa)
+        with pytest.raises(ValueError):
+            bwa.insert_many([0.5, float("nan")])
+        assert _state(bwa) == before
+
+    def test_integer_outside_dtype_overflows(self, eight_value_array):
+        before = _state(eight_value_array)
+        for values in ([1, 2 ** 63], [-(2 ** 63) - 1],
+                       np.array([2 ** 63], dtype=np.uint64)):
+            with pytest.raises(OverflowError):
+                eight_value_array.insert_many(values)
+        assert _state(eight_value_array) == before
+        bwa = BlackWhiteArray(4, dtype=np.uint64)
+        bwa.insert_many([2 ** 64 - 1, 0])
+        assert list(bwa) == [0, 2 ** 64 - 1]
+
+    def test_integer_a_float_dtype_would_round_rejected(self):
+        with pytest.raises(ValueError):
+            BlackWhiteArray.from_values([2 ** 53 + 1], dtype=np.float64)
+        assert list(BlackWhiteArray.from_values([2 ** 53], dtype=np.float64)) \
+            == [2.0 ** 53]
+
+    def test_batch_must_be_one_dimensional(self):
+        with pytest.raises(ValueError):
+            BlackWhiteArray(4).insert_many(np.zeros((2, 2), dtype=np.int64))

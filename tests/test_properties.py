@@ -1,19 +1,78 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bwa import BlackWhiteArray, merge_comparisons, run_equivalence
+from bwa import (BlackWhiteArray, CapacityExceeded, merge_comparisons,
+                 run_equivalence)
 
 values_lists = st.lists(st.integers(-(2 ** 31), 2 ** 31 - 1), max_size=300)
 dup_heavy_lists = st.lists(st.integers(0, 15), max_size=300)
 
 
-@given(values_lists | dup_heavy_lists)
-def test_drain_equals_standard_sort(values):
+@given(values_lists | dup_heavy_lists, st.data())
+def test_drain_equals_standard_sort(values, data):
     bwa = BlackWhiteArray(1, "grow")
     for v in values:
         bwa.insert(v)
     assert list(bwa) == sorted(values)
     assert bwa.validate() == []
+    # then voids: delete stored values and extract from both ends
+    survivors = sorted(values)
+    for pick in data.draw(st.lists(st.integers(0, 10 ** 6), max_size=len(values))):
+        if not survivors:
+            break
+        if pick % 4 == 0:
+            assert bwa.extract_min() == survivors.pop(0)
+        elif pick % 4 == 1:
+            assert bwa.extract_max() == survivors.pop()
+        else:
+            assert bwa.delete(survivors.pop(pick % len(survivors))) is not None
+        assert list(bwa) == survivors
+    assert bwa.validate() == []
+
+
+def _layout(bwa):
+    return (bwa.total, bwa.occupancy, bwa.cap_exp,
+            [bwa.segment_slots(r) for r in range(bwa.cap_exp) if bwa.is_active(r)])
+
+
+_history_ops = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 40)),
+    st.tuples(st.just("delete"), st.integers(0, 40)),
+    st.tuples(st.sampled_from(["extract_min", "extract_max"])),
+    st.tuples(st.just("batch"), st.lists(st.integers(0, 40), max_size=70)),
+    st.tuples(st.just("batch"), st.lists(st.integers(-(2 ** 31), 2 ** 31),
+                                         max_size=20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_history_ops, max_size=40), st.sampled_from(["grow", "fixed"]),
+       st.sampled_from([np.int64, np.float64]), st.integers(1, 7))
+def test_insert_many_matches_scalar_loop(history, policy, dtype, cap_exp):
+    bulk = BlackWhiteArray(cap_exp, policy, dtype)
+    scalar = BlackWhiteArray(cap_exp, policy, dtype)
+    for op, *arg in history:
+        if op != "batch":
+            for bwa in (bulk, scalar):
+                try:
+                    getattr(bwa, op)(*arg)
+                except CapacityExceeded:
+                    pass
+            continue
+        batch = arg[0]
+        if policy == "fixed" and bulk.total + len(batch) >= 1 << cap_exp:
+            before = _layout(bulk)
+            with pytest.raises(CapacityExceeded):
+                bulk.insert_many(batch)
+            assert _layout(bulk) == before
+            continue
+        bulk.insert_many(batch)
+        for v in batch:
+            scalar.insert(v)
+        assert _layout(bulk) == _layout(scalar)
+        assert bulk.validate() == []
+        bulk.insert_many([])
+        assert _layout(bulk) == _layout(scalar)
 
 
 @given(values_lists)
