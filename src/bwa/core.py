@@ -19,9 +19,11 @@ was taken), which keeps every active segment strictly more than half full.
 
 Every active white segment is sorted over all its slots, voids included: a
 delete only clears the mask bit and leaves the value in place, and a merge
-fills its void tail with the largest merged value.  So one ``searchsorted``
-per segment finds any position, and a scan of the mask from there finds the
-nearest occupied slot.
+fills its void tail with the largest merged value.  So one ``bisect`` per
+segment finds any position, and a scan of the mask from there finds the
+nearest occupied slot.  Probes read single slots through ``memoryview``s of
+the arrays, as plain Python scalars compared exactly with a probe of any
+numeric type; numpy works whole ranges (merges, scans, drains).
 
 Thread-safety: none is provided.  Mutating calls need exclusive access;
 read-only calls (search, bounds, extremes, interval, iteration, stats,
@@ -110,8 +112,8 @@ class BlackWhiteArray:
 
     Slots live in numpy arrays; a boolean mask marks which slots hold a
     value, so voids never occupy a value of the element domain.  Values must
-    be totally ordered under the array dtype (``int64`` by default, any
-    numeric dtype works).
+    be totally ordered under the dtype: ``int64`` by default, or any native
+    bool, integer, ``float32`` or ``float64`` dtype (others raise ValueError).
 
     ``cap_exp`` is the capacity exponent: the white array holds
     ``2**cap_exp`` slots of which ``2**cap_exp - 1`` are usable.
@@ -130,9 +132,19 @@ class BlackWhiteArray:
         self._white = np.zeros(n, dtype=self.dtype)
         self._wmask = np.zeros(n, dtype=bool)
         self._black = np.zeros(n >> 1, dtype=self.dtype)
+        self._build_views()
         self._occ = [0] * cap_exp       # occupied-slot count per white rank
         self._total = 0
         self.counters = Counters()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_wv"], state["_mv"]      # a memoryview does not pickle
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_views()
 
     # -- bookkeeping views ------------------------------------------------
 
@@ -220,6 +232,7 @@ class BlackWhiteArray:
                 raise CapacityExceeded(
                     f"all {total} usable slots of a 2**{self.cap_exp}-slot "
                     "structure are in use")
+            value = self.dtype.type(value)  # fail before growing, not after
             self._grow(self.cap_exp + 1)
         ctr = self.counters
         if total & 1 == 0:
@@ -322,16 +335,16 @@ class BlackWhiteArray:
         sooner on average when a value is stored more than once.
         """
         t = self._total
-        white = self._white
+        wv = self._wv
         ctr = self.counters
         for rank in range(t.bit_length() - 1, -1, -1):
             if (t >> rank) & 1:
                 # the first occupied slot at or after the first slot >= value
                 # holds value if any occupied slot of the segment does
-                p = self._occupied(self._bisect(value, rank, "left"), 2 << rank)
+                p = self._occupied(self._bisect(value, rank, bisect_left), 2 << rank)
                 if p is not None:
                     ctr.comparisons += 1
-                    if white[p] == value:
+                    if wv[p] == value:
                         return p
         return None
 
@@ -359,8 +372,8 @@ class BlackWhiteArray:
         t = self._total
         for rank in range(t.bit_length()):
             if (t >> rank) & 1:
-                i = self._bisect(lo, rank, "left")
-                j = self._bisect(hi, rank, "right")
+                i = self._bisect(lo, rank, bisect_left)
+                j = self._bisect(hi, rank, bisect_right)
                 if i < j:
                     runs.append(self._values(i, j))
         return list(heapq.merge(*runs))
@@ -449,6 +462,16 @@ class BlackWhiteArray:
         self._occ += [0] * (cap_exp - self.cap_exp)
         self.counters.grows += cap_exp - self.cap_exp
         self.cap_exp = cap_exp
+        self._build_views()
+
+    def _build_views(self) -> None:
+        """Slot views for the probe path; ValueError for a dtype without."""
+        try:
+            self._wv, self._mv = self._white.data, self._wmask.data
+            self._wv[0]
+        except (NotImplementedError, ValueError):
+            raise ValueError(f"dtype {self.dtype} has no buffer format a "
+                             "memoryview can index") from None
 
     def _batch(self, values) -> np.ndarray:
         """``values`` as a 1-D array of the dtype.  Raises OverflowError for
@@ -570,13 +593,14 @@ class BlackWhiteArray:
         elif occ << 1 <= 1 << rank:
             self._demote(rank)
 
-    def _bisect(self, value, rank: int, side: str) -> int:
+    def _bisect(self, value, rank: int, side) -> int:
         """Index of the first slot of the rank segment whose value is
-        ``>= value`` (side "left") or ``> value`` (side "right"), or the
-        segment's end when there is none."""
+        ``>= value`` (``side`` is ``bisect_left``) or ``> value``
+        (``bisect_right``), or the segment's end when there is none.  It
+        reads the white view: no numpy call, and exact mixed-type compares."""
         s = 1 << rank
         self.counters.comparisons += rank + 1
-        return s + int(self._white[s:s << 1].searchsorted(value, side))
+        return side(self._wv, value, s, s << 1)
 
     def _occupied(self, lo: int, hi: int, last: bool = False) -> Optional[int]:
         """First (``last``: final) occupied slot in ``[lo, hi)``, or None."""
@@ -584,7 +608,7 @@ class BlackWhiteArray:
             return None
         m = self._wmask
         if last:
-            if m[hi - 1]:
+            if self._mv[hi - 1]:
                 return hi - 1
             # a reversed bool argmax would copy the whole slice first; scan
             # back in windows growing 8-fold, so the cost follows the void
@@ -598,7 +622,7 @@ class BlackWhiteArray:
                 hi = start
                 width <<= 3
             return None
-        if m[lo]:
+        if self._mv[lo]:
             return lo
         k = int(m[lo:hi].argmax())
         return lo + k if k else None
@@ -610,7 +634,7 @@ class BlackWhiteArray:
         return seg.tolist() if m.all() else seg[m].tolist()
 
     def _value(self, idx: Optional[int]):
-        return None if idx is None else self._white[idx].item()
+        return None if idx is None else self._wv[idx]
 
     def _best(self, slots, largest: bool) -> Optional[int]:
         """Slot of the largest (or smallest) value among one candidate slot
@@ -620,7 +644,7 @@ class BlackWhiteArray:
         for p in slots:
             if p is None:
                 continue
-            x = self._white[p].item()
+            x = self._wv[p]
             if best is not None:
                 ctr.comparisons += 1
                 if not ((x > best_value) if largest else (x < best_value)):
@@ -631,10 +655,10 @@ class BlackWhiteArray:
     def _bound(self, value, above: bool):
         t = self._total
         if above:
-            slots = [self._occupied(self._bisect(value, r, "right"), 2 << r)
+            slots = [self._occupied(self._bisect(value, r, bisect_right), 2 << r)
                      for r in range(t.bit_length()) if (t >> r) & 1]
         else:
-            slots = [self._occupied(1 << r, self._bisect(value, r, "left"), last=True)
+            slots = [self._occupied(1 << r, self._bisect(value, r, bisect_left), last=True)
                      for r in range(t.bit_length()) if (t >> r) & 1]
         return self._value(self._best(slots, largest=not above))
 

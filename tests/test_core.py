@@ -290,6 +290,27 @@ class TestDtype:
             bwa.insert(v)
         assert list(bwa) == sorted(values)
 
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int16,
+                                       np.uint16, np.int32, np.uint32, np.int64,
+                                       np.uint64, np.float32, np.float64, "<i8"])
+    def test_supported_dtypes(self, dtype):
+        values = [1, 0, 1, 1, 0] if dtype is bool else [9, 3, 7, 3, 120, 0, 5]
+        bwa = BlackWhiteArray(2, dtype=dtype)
+        for v in values:
+            bwa.insert(v)
+        assert list(bwa) == sorted(values)
+        assert bwa.search(values[0]) is not None
+        assert bwa.minimum() == min(values) and bwa.maximum() == max(values)
+        assert bwa.lower_bound(0) == min(v for v in values if v > 0)
+        assert bwa.validate() == []
+
+    @pytest.mark.parametrize("dtype", [np.float16, ">i8", np.complex128,
+                                       object, "datetime64[s]"])
+    def test_unindexable_dtype_rejected(self, dtype):
+        # the probe path reads slots through a memoryview of the array
+        with pytest.raises(ValueError, match="memoryview"):
+            BlackWhiteArray(4, dtype=dtype)
+
 
 def _state(bwa):
     """Everything a failed insert_many must leave alone."""
@@ -427,6 +448,20 @@ class TestBoundaryCheck:
             BlackWhiteArray.from_values([2 ** 53 + 1], dtype=np.float64)
         assert list(BlackWhiteArray.from_values([2 ** 53], dtype=np.float64)) \
             == [2.0 ** 53]
+
+    @pytest.mark.parametrize("dtype, value, error", [
+        (np.int64, 2 ** 70, OverflowError), (np.int64, -(2 ** 70), OverflowError),
+        (np.int64, float("nan"), ValueError), (np.uint64, -1, OverflowError)])
+    def test_failed_scalar_insert_does_not_grow(self, dtype, value, error):
+        bwa = BlackWhiteArray(2, dtype=dtype)
+        for v in (5, 1, 3):                     # every usable slot in use
+            bwa.insert(v)
+        before = _state(bwa)
+        with pytest.raises(error):
+            bwa.insert(value)
+        assert _state(bwa) == before and bwa.cap_exp == 2
+        bwa.insert(4)                           # grows as usual afterwards
+        assert bwa.cap_exp == 3 and list(bwa) == [1, 3, 4, 5]
 
     def test_batch_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
