@@ -128,6 +128,9 @@ class BlackWhiteArray:
         self.cap_exp = cap_exp
         self.policy = GrowthPolicy(policy)
         self.dtype = np.dtype(dtype)
+        if not (self.dtype.isnative and self.dtype.char in "?bBhHiIlLqQfd"):
+            raise ValueError(f"dtype {self.dtype} is not a native bool, integer, "
+                             "float32 or float64 dtype")
         n = 1 << cap_exp
         self._white = np.zeros(n, dtype=self.dtype)
         self._wmask = np.zeros(n, dtype=bool)
@@ -138,9 +141,9 @@ class BlackWhiteArray:
         self.counters = Counters()
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_wv"], state["_mv"]      # a memoryview does not pickle
-        return state
+        # memoryviews do not pickle; __setstate__ builds them again
+        return {k: v for k, v in self.__dict__.items()
+                if not isinstance(v, memoryview)}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -225,24 +228,26 @@ class BlackWhiteArray:
     # -- mutation ---------------------------------------------------------
 
     def insert(self, value) -> None:
-        """Add one value; duplicates accumulate."""
+        """Add one value; duplicates accumulate.  A value the dtype cannot
+        hold exactly raises as in ``insert_many`` and changes nothing."""
         total = self._total
         if total == (1 << self.cap_exp) - 1:
             if self.policy is GrowthPolicy.FIXED:
                 raise CapacityExceeded(
                     f"all {total} usable slots of a 2**{self.cap_exp}-slot "
                     "structure are in use")
-            value = self.dtype.type(value)  # fail before growing, not after
+            self._batch((value,))           # fail before growing, not after
             self._grow(self.cap_exp + 1)
-        ctr = self.counters
         if total & 1 == 0:
-            self._white[1] = value
+            self._white[1] = value          # rank 0 is inactive: a free slot
+            if self._wv[1] != value:
+                self._batch((value,))       # raises: the dtype changed value
             self._wmask[1] = True
             self._occ[0] = 1
-            ctr.moves += 1
         else:
             self._black[1] = value
-            ctr.moves += 1
+            if self._bv[1] != value:
+                self._batch((value,))       # raises: the dtype changed value
             # binary carry of total+1: merge upward while the next rank is taken
             rank = 0
             bits = total >> 1
@@ -255,6 +260,7 @@ class BlackWhiteArray:
             n = self._merge(rank, to_black=False, black_n=carry)
             self._occ[rank] = 0
             self._occ[rank + 1] = n
+        self.counters.moves += 1
         self._total = total + 1
 
     def insert_many(self, values) -> None:
@@ -465,13 +471,9 @@ class BlackWhiteArray:
         self._build_views()
 
     def _build_views(self) -> None:
-        """Slot views for the probe path; ValueError for a dtype without."""
-        try:
-            self._wv, self._mv = self._white.data, self._wmask.data
-            self._wv[0]
-        except (NotImplementedError, ValueError):
-            raise ValueError(f"dtype {self.dtype} has no buffer format a "
-                             "memoryview can index") from None
+        """Slot views for the probe path and the scalar insert's check."""
+        self._wv, self._mv = self._white.data, self._wmask.data
+        self._bv = self._black.data
 
     def _batch(self, values) -> np.ndarray:
         """``values`` as a 1-D array of the dtype.  Raises OverflowError for

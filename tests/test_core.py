@@ -304,11 +304,11 @@ class TestDtype:
         assert bwa.lower_bound(0) == min(v for v in values if v > 0)
         assert bwa.validate() == []
 
-    @pytest.mark.parametrize("dtype", [np.float16, ">i8", np.complex128,
-                                       object, "datetime64[s]"])
-    def test_unindexable_dtype_rejected(self, dtype):
+    @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, ">i8",
+                                       np.complex128, object, "datetime64[s]"])
+    def test_unsupported_dtype_rejected(self, dtype):
         # the probe path reads slots through a memoryview of the array
-        with pytest.raises(ValueError, match="memoryview"):
+        with pytest.raises(ValueError, match="not a native bool, integer"):
             BlackWhiteArray(4, dtype=dtype)
 
 
@@ -451,7 +451,9 @@ class TestBoundaryCheck:
 
     @pytest.mark.parametrize("dtype, value, error", [
         (np.int64, 2 ** 70, OverflowError), (np.int64, -(2 ** 70), OverflowError),
-        (np.int64, float("nan"), ValueError), (np.uint64, -1, OverflowError)])
+        (np.int64, float("nan"), ValueError), (np.uint64, -1, OverflowError),
+        (np.int64, 2.5, ValueError), (np.float32, 0.1, ValueError),
+        (np.float64, float("nan"), ValueError)])
     def test_failed_scalar_insert_does_not_grow(self, dtype, value, error):
         bwa = BlackWhiteArray(2, dtype=dtype)
         for v in (5, 1, 3):                     # every usable slot in use
@@ -462,6 +464,31 @@ class TestBoundaryCheck:
         assert _state(bwa) == before and bwa.cap_exp == 2
         bwa.insert(4)                           # grows as usual afterwards
         assert bwa.cap_exp == 3 and list(bwa) == [1, 3, 4, 5]
+
+    @pytest.mark.parametrize("dtype, value, error", [
+        (np.int64, 2.5, ValueError), (np.int64, np.float64(-1.5), ValueError),
+        (np.int64, 2 ** 63, OverflowError), (np.uint64, -1, OverflowError),
+        (np.float32, 0.1, ValueError), (np.float32, np.float64(0.1), ValueError),
+        (np.float32, 2 ** 24 + 1, ValueError), (np.float64, 2 ** 53 + 1, ValueError),
+        (np.float64, float("nan"), ValueError), (bool, 2, ValueError)])
+    @pytest.mark.parametrize("n", [2, 3])      # rank 0 free, or a carry chain
+    def test_inexact_scalar_insert_rejected(self, dtype, value, error, n):
+        bwa = BlackWhiteArray(3, dtype=dtype)
+        for v in (1, 0, 1)[:n]:
+            bwa.insert(v)
+        c = bwa.counters
+        before = (bwa.total, bwa.occupancy, bwa.dump(), list(bwa),
+                  (c.comparisons, c.moves, c.merges, c.demotes, c.grows))
+        with pytest.raises(error) as scalar:
+            bwa.insert(value)
+        with pytest.raises(error) as batch:
+            bwa.insert_many([value])
+        assert str(scalar.value) == str(batch.value)
+        assert (bwa.total, bwa.occupancy, bwa.dump(), list(bwa),
+                (c.comparisons, c.moves, c.merges, c.demotes, c.grows)) == before
+        assert bwa.validate() == [] and bwa.search(value) is None
+        bwa.insert(1)
+        assert list(bwa) == sorted((1, 0, 1)[:n] + (1,))
 
     def test_batch_must_be_one_dimensional(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
-"""Probes whose type differs from the dtype, NaN probes, and the buffer
-views the probe path reads slots through: their copies and their rebuild
-when the arrays grow."""
+"""Probes whose type differs from the dtype, NaN probes, float32 values,
+and the buffer views the probe path reads slots through: their copies and
+their rebuild when the arrays grow."""
 
 import copy
 import pickle
@@ -128,6 +128,10 @@ class TestViews:
             bwa.insert(v)
         bwa.insert(40)                          # grows; all four in rank 2
         assert bwa.cap_exp == 3 and bwa.occupancy == (0, 0, 4)
+        bwa.insert(25)                          # rank 0 slot of the new arrays
+        bwa.insert(35)                          # black scratch of the new arrays
+        assert list(bwa) == [10, 20, 25, 30, 35, 40] and bwa.validate() == []
+        assert bwa.delete(25) is not None and bwa.delete(35) is not None
         for v in (10, 20, 30, 40):
             assert bwa.search(v) in range(4, 8)
         assert bwa.lower_bound(20) == 30 and bwa.upper_bound(20) == 10
@@ -136,3 +140,36 @@ class TestViews:
         assert bwa.cap_exp == 6 and bwa.occupancy[5] > 0
         assert bwa.search(79) is not None and bwa.upper_bound(1000) == 79
         assert bwa.maximum() == 79 and bwa.extract_max() == 79
+
+
+class TestFloat32:
+    """A float32 structure holds only float32 values, and probes compare
+    exactly against them: ``0.1`` is not one, ``float(np.float32(0.1))`` is."""
+
+    F = float(np.float32(0.1))
+
+    @pytest.fixture
+    def pair(self):
+        return _pair(np.float32, [0.5, 0.25, self.F, 3.0, self.F, 2.0 ** 24], [0.5])
+
+    def test_inexact_value_is_not_inserted(self, pair):
+        bwa, ref = pair
+        for v in (0.1, np.float64(0.1), 2 ** 24 + 1, 0.3):
+            with pytest.raises(ValueError, match="not exactly representable"):
+                bwa.insert(v)
+        assert list(bwa) == ref.values and bwa.validate() == []
+        bwa.insert(np.float32(0.1))             # a float32 scalar is exact
+        ref.insert(self.F)
+        assert list(bwa) == ref.values
+
+    def test_probes_agree_with_the_model(self, pair):
+        bwa, ref = pair
+        assert bwa.search(0.1) is None and 0.1 not in bwa
+        assert bwa.delete(0.1) is None and len(bwa) == 5
+        assert bwa.lower_bound(0.1) == self.F == ref.lower_bound(0.1)
+        assert bwa.search(self.F) is not None and np.float32(0.1) in bwa
+        _agree(bwa, ref, [0.1, self.F, np.float32(0.1), 0.25, 0.3, 3.0,
+                          2 ** 24, 2 ** 24 + 1, NAN])
+        assert bwa.delete(np.float32(0.1)) is not None
+        assert bwa.delete(self.F) is not None and bwa.delete(self.F) is None
+        assert list(bwa) == [0.25, 3.0, 2.0 ** 24] and bwa.validate() == []
