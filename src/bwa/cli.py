@@ -116,7 +116,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         if op == "insert":
-            bwa.insert(value)
+            try:
+                bwa.insert(value)
+            except OverflowError:
+                print(f"bwa trace: line {lineno}: {value} does not fit in "
+                      f"{bwa.dtype}", file=sys.stderr)
+                return 1
             print(f"> insert {value}")
         elif op == "search":
             idx = bwa.search(value)

@@ -32,10 +32,10 @@ validate) may run concurrently with each other when no writer is active.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterator, Optional
 
 import numpy as np
@@ -58,9 +58,14 @@ class Counters:
 
     ``comparisons`` counts element comparisons only (void checks are free).
     A merge is charged what a two-pointer merge of its occupied values
-    compares.  Each bisection of a rank-``r`` segment is charged ``r + 1``,
-    the most a bisection over ``2**r`` slots takes, and each equality check
-    or fold of two segments' candidates is charged 1.  ``moves`` counts slot
+    compares.  A query probes each active segment with one bisection,
+    charged ``r + 1`` on rank ``r`` (the most a bisection over ``2**r``
+    slots takes).  A search then compares the slot at the bisection point
+    with the probe (1), and the next occupied slot as well (1) when that
+    slot is a void holding the probe.  Bounds and extremes charge 1 per fold
+    of two segments' candidates.  An interval charges 1 for its early-out
+    test of ``hi`` against the slot at the ``lo`` bisection point, and its
+    ``hi`` bisection ``r + 1`` only when that runs.  ``moves`` counts slot
     writes, void padding included.  ``grows`` counts capacity doublings.
 
     ``insert_many`` charges one ``merges`` per segment it writes and one
@@ -120,6 +125,7 @@ class BlackWhiteArray:
     """
 
     _SMALL_MERGE = 8  # source segment length at or below which merges sort lists
+    _NO_BOUND = object()  # the bound of a query for the minimum or maximum
 
     def __init__(self, cap_exp: int, policy: GrowthPolicy | str = GrowthPolicy.GROW,
                  dtype=np.int64) -> None:
@@ -230,6 +236,8 @@ class BlackWhiteArray:
     def insert(self, value) -> None:
         """Add one value; duplicates accumulate.  A value the dtype cannot
         hold exactly raises as in ``insert_many`` and changes nothing."""
+        if type(value) is not int and isinstance(value, np.integer):
+            value = int(value)              # compared exactly, as Python ints are
         total = self._total
         if total == (1 << self.cap_exp) - 1:
             if self.policy is GrowthPolicy.FIXED:
@@ -254,12 +262,14 @@ class BlackWhiteArray:
             carry = 1
             while bits & 1:
                 carry = self._merge(rank, to_black=True, black_n=carry)
-                self._occ[rank] = 0
                 rank += 1
                 bits >>= 1
             n = self._merge(rank, to_black=False, black_n=carry)
-            self._occ[rank] = 0
-            self._occ[rank + 1] = n
+            occ = self._occ                 # counts only after the last merge;
+            occ[rank + 1] = n               # a merge reads only its own rank's
+            while rank >= 0:
+                occ[rank] = 0
+                rank -= 1
         self.counters.moves += 1
         self._total = total + 1
 
@@ -342,47 +352,71 @@ class BlackWhiteArray:
         """
         t = self._total
         wv = self._wv
-        ctr = self.counters
-        for rank in range(t.bit_length() - 1, -1, -1):
-            if (t >> rank) & 1:
-                # the first occupied slot at or after the first slot >= value
-                # holds value if any occupied slot of the segment does
-                p = self._occupied(self._bisect(value, rank, bisect_left), 2 << rank)
-                if p is not None:
-                    ctr.comparisons += 1
-                    if wv[p] == value:
-                        return p
+        cmp = 0
+        while t:
+            s = 1 << (t.bit_length() - 1)
+            t ^= s
+            e = s << 1
+            i = bisect_left(wv, value, s, e)
+            cmp += s.bit_length()           # rank + 1
+            if i == e:
+                continue
+            cmp += 1
+            if wv[i] != value:              # then every slot from i on is > value
+                continue
+            if not self._mv[i]:             # i is void: the first occupied
+                i = self._occupied(i, e)    # slot after it may still match
+                if i is None:
+                    continue
+                cmp += 1
+                if wv[i] != value:
+                    continue
+            self.counters.comparisons += cmp
+            return i
+        self.counters.comparisons += cmp
         return None
 
     def minimum(self):
         """Smallest stored value, or None when empty."""
-        return self._value(self._extreme_slot(largest=False))
+        return self._value(self._nearest(above=True))
 
     def maximum(self):
         """Largest stored value, or None when empty."""
-        return self._value(self._extreme_slot(largest=True))
+        return self._value(self._nearest(above=False))
 
     def lower_bound(self, value):
         """Smallest stored value strictly greater than ``value``, or None."""
-        return self._bound(value, above=True)
+        return self._value(self._nearest(True, value))
 
     def upper_bound(self, value):
         """Largest stored value strictly smaller than ``value``, or None."""
-        return self._bound(value, above=False)
+        return self._value(self._nearest(False, value))
 
     def interval(self, lo, hi) -> list:
         """All stored values in ``[lo, hi]`` ascending, duplicates included."""
         if lo > hi:
             raise ValueError(f"interval requires lo <= hi, got ({lo}, {hi})")
-        runs = []
         t = self._total
-        for rank in range(t.bit_length()):
-            if (t >> rank) & 1:
-                i = self._bisect(lo, rank, bisect_left)
-                j = self._bisect(hi, rank, bisect_right)
-                if i < j:
-                    runs.append(self._values(i, j))
-        return list(heapq.merge(*runs))
+        wv, mv = self._wv, self._mv
+        out = []
+        cmp = 0
+        while t:
+            s = t & -t
+            t ^= s
+            e = s << 1
+            i = bisect_left(wv, lo, s, e)
+            cmp += s.bit_length()           # rank + 1
+            if i == e:
+                continue
+            cmp += 1
+            if hi < wv[i]:                  # nothing of the segment in range
+                continue
+            j = bisect_right(wv, hi, i, e)
+            cmp += s.bit_length()
+            out += compress(wv[i:j].tolist(), mv[i:j].tolist())
+        self.counters.comparisons += cmp
+        out.sort()                          # merges the presorted runs
+        return out
 
     def iter_sorted(self) -> Iterator:
         """All stored values ascending: the occupied slots of every active
@@ -485,7 +519,9 @@ class BlackWhiteArray:
         else:
             with np.errstate(invalid="ignore"):     # checked exactly below
                 batch = np.asarray(values, dtype=self.dtype)
-            given = values.tolist() if isinstance(values, np.ndarray) else list(values)
+            # numpy integers as Python ints: numpy would compare them rounded
+            given = (values.tolist() if isinstance(values, np.ndarray) else
+                     [int(v) if isinstance(v, np.integer) else v for v in values])
         if batch.ndim != 1:
             raise ValueError(f"values must form a 1-D batch, not {batch.ndim}-D")
         if batch.dtype.kind == "f" and np.isnan(batch).any():
@@ -595,23 +631,12 @@ class BlackWhiteArray:
         elif occ << 1 <= 1 << rank:
             self._demote(rank)
 
-    def _bisect(self, value, rank: int, side) -> int:
-        """Index of the first slot of the rank segment whose value is
-        ``>= value`` (``side`` is ``bisect_left``) or ``> value``
-        (``bisect_right``), or the segment's end when there is none.  It
-        reads the white view: no numpy call, and exact mixed-type compares."""
-        s = 1 << rank
-        self.counters.comparisons += rank + 1
-        return side(self._wv, value, s, s << 1)
-
     def _occupied(self, lo: int, hi: int, last: bool = False) -> Optional[int]:
-        """First (``last``: final) occupied slot in ``[lo, hi)``, or None."""
-        if lo >= hi:
-            return None
+        """First (``last``: final) occupied slot in ``[lo, hi)``, or None.
+        Callers read the edge slot first: ``lo`` (``last``: ``hi - 1``) is
+        a void, so only a void run is scanned here."""
         m = self._wmask
         if last:
-            if self._mv[hi - 1]:
-                return hi - 1
             # a reversed bool argmax would copy the whole slice first; scan
             # back in windows growing 8-fold, so the cost follows the void
             # run's length rather than the range's
@@ -624,53 +649,52 @@ class BlackWhiteArray:
                 hi = start
                 width <<= 3
             return None
-        if self._mv[lo]:
-            return lo
         k = int(m[lo:hi].argmax())
         return lo + k if k else None
-
-    def _values(self, lo: int, hi: int) -> list:
-        """Occupied values of slots ``[lo, hi)`` in slot order."""
-        seg = self._white[lo:hi]
-        m = self._wmask[lo:hi]
-        return seg.tolist() if m.all() else seg[m].tolist()
 
     def _value(self, idx: Optional[int]):
         return None if idx is None else self._wv[idx]
 
-    def _best(self, slots, largest: bool) -> Optional[int]:
-        """Slot of the largest (or smallest) value among one candidate slot
-        per segment, ``None`` for none; ties keep the lower rank."""
-        ctr = self.counters
+    def _nearest(self, above: bool, value=_NO_BOUND) -> Optional[int]:
+        """Slot of the smallest stored value ``> value`` (``above``) or the
+        largest ``< value``, or None; without ``value``, of the smallest or
+        largest stored value.  A tie keeps the lower rank."""
+        t = self._total
+        wv, mv = self._wv, self._mv
+        bounded = value is not self._NO_BOUND
         best = best_value = None
-        for p in slots:
-            if p is None:
-                continue
-            x = self._wv[p]
-            if best is not None:
-                ctr.comparisons += 1
-                if not ((x > best_value) if largest else (x < best_value)):
+        cmp = 0
+        while t:
+            s = t & -t
+            t ^= s
+            e = s << 1
+            if bounded:
+                cmp += s.bit_length()       # rank + 1
+            if above:                       # first occupied slot > value
+                i = bisect_right(wv, value, s, e) if bounded else s
+                if i == e:
                     continue
-            best, best_value = p, x
+                if not mv[i]:
+                    i = self._occupied(i, e)
+            else:                           # last occupied slot < value
+                i = (bisect_left(wv, value, s, e) if bounded else e) - 1
+                if i < s:
+                    continue
+                if not mv[i]:
+                    i = self._occupied(s, i + 1, last=True)
+            if i is None:
+                continue
+            x = wv[i]
+            if best is not None:
+                cmp += 1
+                if not ((x < best_value) if above else (x > best_value)):
+                    continue
+            best, best_value = i, x
+        self.counters.comparisons += cmp
         return best
 
-    def _bound(self, value, above: bool):
-        t = self._total
-        if above:
-            slots = [self._occupied(self._bisect(value, r, bisect_right), 2 << r)
-                     for r in range(t.bit_length()) if (t >> r) & 1]
-        else:
-            slots = [self._occupied(1 << r, self._bisect(value, r, bisect_left), last=True)
-                     for r in range(t.bit_length()) if (t >> r) & 1]
-        return self._value(self._best(slots, largest=not above))
-
-    def _extreme_slot(self, largest: bool) -> Optional[int]:
-        t = self._total
-        return self._best([self._occupied(1 << r, 2 << r, last=largest)
-                           for r in range(t.bit_length()) if (t >> r) & 1], largest)
-
     def _extract(self, largest: bool):
-        idx = self._extreme_slot(largest)
+        idx = self._nearest(not largest)
         value = self._value(idx)
         if idx is not None:
             self._delete_at(idx)

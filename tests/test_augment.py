@@ -143,6 +143,18 @@ class TestInterval:
         with pytest.raises(ValueError):
             eight_value_array.interval(10, 5)
 
+    @pytest.mark.parametrize("lo, hi, charged", [
+        (15, 35, 2 + 3 + 7),    # ranks 0 and 1 ruled out by one test of hi
+        (75, 80, 1 + 2 + 3),    # every lo bisection ends past its segment
+        (10, 70, 3 + 5 + 7)])   # both bisections run in every segment
+    def test_comparisons_charged(self, lo, hi, charged):
+        bwa = BlackWhiteArray(4, "fixed")
+        for v in (10, 20, 30, 40, 50, 60, 70):  # ranks 2, 1, 0 in that order
+            bwa.insert(v)
+        before = bwa.counters.comparisons
+        bwa.interval(lo, hi)
+        assert bwa.counters.comparisons - before == charged
+
     def test_window_with_voids(self, demotion_ready_array):
         bwa = demotion_ready_array
         present = [6, 52, 59, 67, 83, 21, 77, 91, 45, 82]

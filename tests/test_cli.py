@@ -166,6 +166,20 @@ class TestTrace:
         script.write_text("insert 1\nshuffle 2\n")
         assert main(["trace", "--script", str(script)]) == 1
 
+    @pytest.mark.parametrize("value", ["99999999999999999999999",
+                                       "-99999999999999999999999"])
+    def test_value_outside_int64_fails_cleanly(self, tmp_path, capsys, value):
+        script = tmp_path / "big.txt"
+        # the second line exercises both the free rank-0 slot and the carry
+        script.write_text(f"insert 5\ninsert {value}\n")
+        assert main(["trace", "--script", str(script)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"bwa trace: line 2: {value} does not fit in int64\n"
+        assert captured.out == "> insert 5\nrank=0 [5]\n"
+        script.write_text(f"insert {value}\n")
+        assert main(["trace", "--script", str(script)]) == 1
+        assert capsys.readouterr().err.startswith("bwa trace: line 1: ")
+
 
 class TestVerify:
     def test_clean_run_exits_zero(self, capsys):

@@ -111,6 +111,35 @@ class TestInsert:
             bwa.insert(rng.randrange(10 ** 6))
             assert bwa.counters.merges - before == trailing
 
+    def test_failed_merge_leaves_state(self):
+        # total 31 = 0b11111: the next insert runs a five-merge carry chain
+        bwa = BlackWhiteArray(6, "fixed")
+        for v in range(31):
+            bwa.insert(v * 7 % 31)
+        for v in (7, 22):                   # voids in the rank-4 segment
+            bwa.delete(v)
+        assert bwa.total == 31
+        before = (bwa.total, bwa.occupancy, len(bwa), list(bwa))
+        merge = bwa._merge
+        for k in range(1, 6):               # fail the k-th merge of the chain
+            calls = []
+
+            def failing(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == k:
+                    raise MemoryError("merge failed")
+                return merge(*args, **kwargs)
+
+            bwa._merge = failing
+            with pytest.raises(MemoryError):
+                bwa.insert(100)
+            del bwa._merge
+            assert bwa.validate() == []
+            assert (bwa.total, bwa.occupancy, len(bwa), list(bwa)) == before
+        bwa.insert(100)                     # the chain runs to the end after
+        assert bwa.validate() == [] and list(bwa) == before[3] + [100]
+        assert bwa.occupancy == (0, 0, 0, 0, 0, 30)
+
     def test_thousand_random_inserts_drain_sorted(self):
         rng = random.Random(11)
         values = [rng.randrange(4000) for _ in range(1000)]
@@ -489,6 +518,34 @@ class TestBoundaryCheck:
         assert bwa.validate() == [] and bwa.search(value) is None
         bwa.insert(1)
         assert list(bwa) == sorted((1, 0, 1)[:n] + (1,))
+
+    @pytest.mark.parametrize("dtype, value", [
+        (np.float64, np.int64(2 ** 53 + 1)), (np.float64, np.int64(-(2 ** 53) - 1)),
+        (np.float64, np.uint64(2 ** 64 - 1)), (np.float32, np.int32(2 ** 24 + 1)),
+        (np.float32, np.int64(2 ** 24 + 1))])
+    @pytest.mark.parametrize("n", [2, 3, 7])   # rank 0 free, a carry, a grow
+    def test_numpy_integer_a_float_dtype_would_round_rejected(self, dtype, value, n):
+        bwa = BlackWhiteArray(3, dtype=dtype)
+        for v in range(n):
+            bwa.insert(v)
+        c = bwa.counters
+
+        def state():                # a failed scalar insert may leave a
+            return (bwa.cap_exp, bwa.total, bwa.occupancy, bwa.dump(),
+                    list(bwa),      # free slot or scratch written
+                    (c.comparisons, c.moves, c.merges, c.demotes, c.grows))
+
+        before = state()
+        for insert in (bwa.insert, lambda v: bwa.insert_many([v]),
+                       lambda v: bwa.insert_many(np.array([v]))):
+            with pytest.raises(ValueError):
+                insert(value)
+            assert state() == before
+        exact = type(value)(2 ** 24 if dtype == np.float32 else 2 ** 53)
+        bwa.insert(exact)
+        bwa.insert_many([exact])
+        assert list(bwa) == list(range(n)) + [int(exact)] * 2
+        assert bwa.search(int(exact)) is not None and bwa.validate() == []
 
     def test_batch_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
