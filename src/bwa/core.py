@@ -21,9 +21,14 @@ Every active white segment is sorted over all its slots, voids included: a
 delete only clears the mask bit and leaves the value in place, and a merge
 fills its void tail with the largest merged value.  So one ``bisect`` per
 segment finds any position, and a scan of the mask from there finds the
-nearest occupied slot.  Probes read single slots through ``memoryview``s of
-the arrays, as plain Python scalars compared exactly with a probe of any
-numeric type; numpy works whole ranges (merges, scans, drains).
+nearest occupied slot.  Queries walk the active segments highest rank
+first, and a *bridge* from each segment of more than ``_BRIDGED`` slots to
+the next higher active one (the lookahead pointers of the cache-oblivious
+lookahead array, a form of fractional cascading) bounds its bisection to a
+window of about ``_LOOKAHEAD`` slots.  Probes read single slots through
+``memoryview``s of the arrays, as plain Python scalars compared exactly
+with a probe of any numeric type; numpy works whole ranges (merges, scans,
+drains, bridges).
 
 Thread-safety: none is provided.  Mutating calls need exclusive access;
 read-only calls (search, bounds, extremes, interval, iteration, stats,
@@ -32,6 +37,7 @@ validate) may run concurrently with each other when no writer is active.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -58,19 +64,24 @@ class Counters:
 
     ``comparisons`` counts element comparisons only (void checks are free).
     A merge is charged what a two-pointer merge of its occupied values
-    compares.  A query probes each active segment with one bisection,
-    charged ``r + 1`` on rank ``r`` (the most a bisection over ``2**r``
-    slots takes).  A search then compares the slot at the bisection point
-    with the probe (1), and the next occupied slot as well (1) when that
-    slot is a void holding the probe.  Bounds and extremes charge 1 per fold
-    of two segments' candidates.  An interval charges 1 for its early-out
-    test of ``hi`` against the slot at the ``lo`` bisection point, and its
-    ``hi`` bisection ``r + 1`` only when that runs.  ``moves`` counts slot
-    writes, void padding included.  ``grows`` counts capacity doublings.
+    compares.  A query probes each active segment with one bisection over
+    a window of ``w`` slots, charged ``w.bit_length()`` (the most a
+    bisection over ``w`` slots takes): ``r + 1`` for a whole rank-``r``
+    segment, less where a bridge narrows the window.  A search then
+    compares the slot at the bisection point with the probe (1), and the
+    next occupied slot as well (1) when that slot is a void holding the
+    probe.  Bounds and extremes charge 1 per fold of two segments'
+    candidates.  An interval charges 1 for its early-out test of ``hi``
+    against the slot at the ``lo`` bisection point.  When that test passes,
+    ``hi`` is bisected over the ``_LOOKAHEAD`` slots from that point, and
+    over the rest of the segment only when the range runs past them.
+    ``moves`` counts slot writes, void padding included.  ``grows`` counts
+    capacity doublings.
 
     ``insert_many`` charges one ``merges`` per segment it writes and one
     ``moves`` per slot of that segment; numpy sorts its blocks, so it
-    charges no ``comparisons``.  ``from_values`` leaves every counter at 0.
+    charges no ``comparisons``.  Bridge builds are numpy work as well and
+    charge nothing.  ``from_values`` leaves every counter at 0.
     """
 
     comparisons: int = 0
@@ -112,6 +123,12 @@ def merge_comparisons(b, w) -> int:
     return nb + nw - tail
 
 
+def _plain(value):
+    """A numpy scalar as the Python scalar it equals.  Python compares an
+    int with a float exactly; numpy rounds the int to a float first."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 class BlackWhiteArray:
     """Ordered multiset over numeric values with amortized-logarithmic ops.
 
@@ -125,6 +142,8 @@ class BlackWhiteArray:
     """
 
     _SMALL_MERGE = 8  # source segment length at or below which merges sort lists
+    _LOOKAHEAD = 16   # slots of a lower segment per bridge entry (a power of 2)
+    _BRIDGED = 1 << 14  # segments of more slots get a bridge, see _bridge
     _NO_BOUND = object()  # the bound of a query for the minimum or maximum
 
     def __init__(self, cap_exp: int, policy: GrowthPolicy | str = GrowthPolicy.GROW,
@@ -143,6 +162,7 @@ class BlackWhiteArray:
         self._black = np.zeros(n >> 1, dtype=self.dtype)
         self._build_views()
         self._occ = [0] * cap_exp       # occupied-slot count per white rank
+        self._links = [None] * cap_exp  # bridge per white rank, see _bridge
         self._total = 0
         self.counters = Counters()
 
@@ -252,6 +272,7 @@ class BlackWhiteArray:
                 self._batch((value,))       # raises: the dtype changed value
             self._wmask[1] = True
             self._occ[0] = 1
+            self._total = total + 1
         else:
             self._black[1] = value
             if self._bv[1] != value:
@@ -265,13 +286,16 @@ class BlackWhiteArray:
                 rank += 1
                 bits >>= 1
             n = self._merge(rank, to_black=False, black_n=carry)
+            top = rank + 1
             occ = self._occ                 # counts only after the last merge;
-            occ[rank + 1] = n               # a merge reads only its own rank's
+            occ[top] = n                    # a merge reads only its own rank's
             while rank >= 0:
                 occ[rank] = 0
                 rank -= 1
+            self._total = total + 1
+            if 1 << top > self._BRIDGED:
+                self._relink(top)
         self.counters.moves += 1
-        self._total = total + 1
 
     def insert_many(self, values) -> None:
         """Add every value of ``values``, leaving slot for slot the state
@@ -325,6 +349,8 @@ class BlackWhiteArray:
             total += size
             done += size
             self._total = total
+            if s > self._BRIDGED:
+                self._relink(rank)
 
     def delete(self, value) -> Optional[int]:
         """Void one occurrence; returns the slot index it held, or None."""
@@ -350,29 +376,41 @@ class BlackWhiteArray:
         Active segments are probed from the highest rank down, which ends
         sooner on average when a value is stored more than once.
         """
+        if type(value) is not int and type(value) is not float:
+            value = _plain(value)
         t = self._total
-        wv = self._wv
-        cmp = 0
+        wv, links = self._wv, self._links
+        cmp = i = 0
         while t:
-            s = 1 << (t.bit_length() - 1)
+            r = t.bit_length() - 1
+            s = 1 << r
             t ^= s
             e = s << 1
-            i = bisect_left(wv, value, s, e)
-            cmp += s.bit_length()           # rank + 1
+            link = links[r]
+            if link is None:                # the top rank, or a small one
+                i = bisect_left(wv, value, s, e)
+                cmp += r + 1
+            else:                           # i is the rank above's point
+                m, base, shift = link
+                j = (i - base) >> shift
+                a, b = m[j], m[j + 1]
+                i = bisect_left(wv, value, a, b)
+                cmp += (b - a).bit_length()
             if i == e:
                 continue
             cmp += 1
             if wv[i] != value:              # then every slot from i on is > value
                 continue
-            if not self._mv[i]:             # i is void: the first occupied
-                i = self._occupied(i, e)    # slot after it may still match
-                if i is None:
+            k = i
+            if not self._mv[k]:             # k is void: the first occupied
+                k = self._occupied(k, e)    # slot after it may still match
+                if k is None:
                     continue
                 cmp += 1
-                if wv[i] != value:
+                if wv[k] != value:
                     continue
             self.counters.comparisons += cmp
-            return i
+            return k
         self.counters.comparisons += cmp
         return None
 
@@ -394,26 +432,44 @@ class BlackWhiteArray:
 
     def interval(self, lo, hi) -> list:
         """All stored values in ``[lo, hi]`` ascending, duplicates included."""
-        if lo > hi:
+        if lo > hi:                         # as the caller's types compare
             raise ValueError(f"interval requires lo <= hi, got ({lo}, {hi})")
+        if type(lo) is not int and type(lo) is not float:
+            lo = _plain(lo)
+        if type(hi) is not int and type(hi) is not float:
+            hi = _plain(hi)
         t = self._total
-        wv, mv = self._wv, self._mv
+        wv, mv, links = self._wv, self._mv, self._links
+        window = self._LOOKAHEAD
         out = []
-        cmp = 0
+        cmp = i = 0
         while t:
-            s = t & -t
+            r = t.bit_length() - 1
+            s = 1 << r
             t ^= s
             e = s << 1
-            i = bisect_left(wv, lo, s, e)
-            cmp += s.bit_length()           # rank + 1
+            link = links[r]
+            if link is None:                # the top rank, or a small one
+                i = bisect_left(wv, lo, s, e)
+                cmp += r + 1
+            else:                           # i is the rank above's point
+                m, base, shift = link
+                j = (i - base) >> shift
+                a, b = m[j], m[j + 1]
+                i = bisect_left(wv, lo, a, b)
+                cmp += (b - a).bit_length()
             if i == e:
                 continue
             cmp += 1
             if hi < wv[i]:                  # nothing of the segment in range
                 continue
-            j = bisect_right(wv, hi, i, e)
-            cmp += s.bit_length()
-            out += compress(wv[i:j].tolist(), mv[i:j].tolist())
+            b = i + window if i + window < e else e
+            k = bisect_right(wv, hi, i, b)  # a narrow range ends in the window
+            cmp += (b - i).bit_length()
+            if k == b < e:
+                k = bisect_right(wv, hi, b, e)
+                cmp += (e - b).bit_length()
+            out += compress(wv[i:k].tolist(), mv[i:k].tolist())
         self.counters.comparisons += cmp
         out.sort()                          # merges the presorted runs
         return out
@@ -475,6 +531,13 @@ class BlackWhiteArray:
             seg = self._white[s:s << 1]
             if not bool((seg[1:] >= seg[:-1]).all()):
                 problems.append(f"rank {rank}: slots not sorted (voids included)")
+        if len(self._links) != self.cap_exp:
+            problems.append("bridge list length differs from cap_exp")
+        for rank, link in enumerate(self._links[:self.cap_exp]):
+            want = self._bridge(rank)
+            if link != want:
+                problems.append(f"rank {rank}: bridge "
+                                f"{'missing' if link is None else 'stale'}")
         return problems
 
     def dump(self) -> str:
@@ -500,6 +563,7 @@ class BlackWhiteArray:
         self._wmask = np.concatenate([self._wmask, np.zeros(n, dtype=bool)])
         self._black = np.concatenate([self._black, np.zeros(n >> 1, dtype=self.dtype)])
         self._occ += [0] * (cap_exp - self.cap_exp)
+        self._links += [None] * (cap_exp - self.cap_exp)
         self.counters.grows += cap_exp - self.cap_exp
         self.cap_exp = cap_exp
         self._build_views()
@@ -619,6 +683,59 @@ class BlackWhiteArray:
             self._occ[rank - 1] = self._occ[rank]
             self._occ[rank] = 0
         self._total -= half
+        if s > self._BRIDGED:
+            self._relink(rank)
+
+    def _bridge(self, rank: int) -> Optional[tuple]:
+        """The bridge of ``rank`` as the raw slots define it, or None.
+
+        Only an active rank of more than ``_BRIDGED`` slots below another
+        active rank has one.  A smaller segment is bisected mostly in
+        cache, where reading a bridge costs about what it saves, while
+        building one costs about 50 ns an entry, on every write of the
+        segment or of the rank above.
+
+        With ``u`` the next higher active rank and ``stride = _LOOKAHEAD *
+        2**(u - rank)``, the bridge is ``(marks, base, shift)``.  ``marks``
+        holds the segment's first slot, then for every ``stride``-th slot
+        of ``u`` the slot where ``bisect_left`` would put that slot's value
+        in this segment, then the segment's end.  A probe bisected to slot
+        ``i`` of ``u`` lands, bisected on the same side, in ``[marks[j],
+        marks[j + 1]]`` of this segment, where ``j = (i - base) >> shift``
+        counts the sampled slots before ``i``.
+        """
+        t = self._total
+        s = 1 << rank
+        above = t >> (rank + 1)
+        if not above or s <= self._BRIDGED or not (t >> rank) & 1:
+            return None
+        u = rank + (above & -above).bit_length()
+        su = 1 << u
+        stride = self._LOOKAHEAD << (u - rank)
+        white = self._white
+        marks = array("q", (s,))
+        inner = white[s:s << 1].searchsorted(white[su:su << 1:stride]) + s
+        marks.frombytes(inner.astype(np.int64, copy=False).tobytes())
+        marks.append(s << 1)
+        return marks, su + 1 - stride, stride.bit_length() - 1
+
+    def _relink(self, rank: int) -> None:
+        """Rebuild the bridges after a write to the white segment of
+        ``rank`` (or its deactivation) that may have deactivated ranks
+        below it: every rank from ``rank`` down to the second active one
+        met, whose next higher active rank may have changed.  Ranks further
+        down keep theirs."""
+        t = self._total
+        links = self._links
+        met = 0
+        for q in range(rank, self._BRIDGED.bit_length() - 1, -1):
+            if not (t >> q) & 1:
+                links[q] = None
+                continue
+            links[q] = self._bridge(q)
+            met += 1
+            if met == 2:
+                return
 
     def _delete_at(self, idx: int) -> None:
         rank = idx.bit_length() - 1
@@ -658,38 +775,50 @@ class BlackWhiteArray:
     def _nearest(self, above: bool, value=_NO_BOUND) -> Optional[int]:
         """Slot of the smallest stored value ``> value`` (``above``) or the
         largest ``< value``, or None; without ``value``, of the smallest or
-        largest stored value.  A tie keeps the lower rank."""
+        largest stored value.  Ranks are walked highest first, so a tie
+        goes to the later candidate: the lower rank."""
         t = self._total
-        wv, mv = self._wv, self._mv
+        wv, mv, links = self._wv, self._mv, self._links
         bounded = value is not self._NO_BOUND
+        if bounded and type(value) is not int and type(value) is not float:
+            value = _plain(value)
+        bisect = bisect_right if above else bisect_left
         best = best_value = None
-        cmp = 0
+        cmp = i = 0
         while t:
-            s = t & -t
+            r = t.bit_length() - 1
+            s = 1 << r
             t ^= s
             e = s << 1
-            if bounded:
-                cmp += s.bit_length()       # rank + 1
+            if not bounded:
+                i = s if above else e
+            elif (link := links[r]) is None:    # the top rank, or a small one
+                i = bisect(wv, value, s, e)
+                cmp += r + 1
+            else:                           # i is the rank above's point
+                m, base, shift = link
+                j = (i - base) >> shift
+                a, b = m[j], m[j + 1]
+                i = bisect(wv, value, a, b)
+                cmp += (b - a).bit_length()
             if above:                       # first occupied slot > value
-                i = bisect_right(wv, value, s, e) if bounded else s
                 if i == e:
                     continue
-                if not mv[i]:
-                    i = self._occupied(i, e)
+                k = i if mv[i] else self._occupied(i, e)
             else:                           # last occupied slot < value
-                i = (bisect_left(wv, value, s, e) if bounded else e) - 1
-                if i < s:
+                k = i - 1
+                if k < s:
                     continue
-                if not mv[i]:
-                    i = self._occupied(s, i + 1, last=True)
-            if i is None:
+                if not mv[k]:
+                    k = self._occupied(s, i, last=True)
+            if k is None:
                 continue
-            x = wv[i]
+            x = wv[k]
             if best is not None:
                 cmp += 1
-                if not ((x < best_value) if above else (x > best_value)):
+                if (x > best_value) if above else (x < best_value):
                     continue
-            best, best_value = i, x
+            best, best_value = k, x
         self.counters.comparisons += cmp
         return best
 

@@ -2,6 +2,14 @@ import pytest
 
 from bwa import BlackWhiteArray
 
+class Narrow(BlackWhiteArray):
+    """Bridges on small structures: one entry per 2 slots of a lower
+    segment, on every segment of more than 4 slots below another."""
+
+    _LOOKAHEAD = 2
+    _BRIDGED = 4
+
+
 # Eight inserts whose final one triggers a three-level merge cascade,
 # consolidating everything into the rank-3 segment.
 EIGHT = (83, 67, 59, 21, 76, 33, 45, 52)

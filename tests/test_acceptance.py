@@ -114,9 +114,18 @@ def test_search_comparison_counters():
                            seed=SEED, probes=256)
     miss_row = run_probe_bench(miss_cfg)[0]
     assert miss_row.cmp_per_op <= 324.0, miss_row
+
+    # at m=18 segments are large enough for bridges; bisecting every active
+    # segment whole costs 93.91 comparisons a miss here
+    bridged_cfg = BenchConfig(min_exp=18, max_exp=18, ops=("search",),
+                              config="random", trials=300, hit_ratio=0.0,
+                              seed=SEED, probes=256)
+    bridged_row = run_probe_bench(bridged_cfg)[0]
+    assert bridged_row.cmp_per_op < 93.91, bridged_row
     _report("search-comparison-counters",
             f"perfect hit {hit_row.cmp_per_op:.2f} <= 18; random miss "
-            f"{miss_row.cmp_per_op:.2f} <= 324 over 1000 configurations")
+            f"{miss_row.cmp_per_op:.2f} <= 324 over 1000 configurations; "
+            f"at 2^18 {bridged_row.cmp_per_op:.2f} < 93.91 over 300")
 
 
 def test_occupancy_floor():

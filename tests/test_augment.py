@@ -144,7 +144,8 @@ class TestInterval:
             eight_value_array.interval(10, 5)
 
     @pytest.mark.parametrize("lo, hi, charged", [
-        (15, 35, 2 + 3 + 7),    # ranks 0 and 1 ruled out by one test of hi
+        (15, 35, 2 + 3 + 6),    # ranks 0 and 1 ruled out by one test of hi;
+                                # hi bisected over the 3 slots from 20 on
         (75, 80, 1 + 2 + 3),    # every lo bisection ends past its segment
         (10, 70, 3 + 5 + 7)])   # both bisections run in every segment
     def test_comparisons_charged(self, lo, hi, charged):
@@ -153,6 +154,15 @@ class TestInterval:
             bwa.insert(v)
         before = bwa.counters.comparisons
         bwa.interval(lo, hi)
+        assert bwa.counters.comparisons - before == charged
+
+    @pytest.mark.parametrize("lo, hi, charged", [
+        (10, 20, 6 + 1 + 5),        # hi ends in the 16 slots from 10 on
+        (10, 50, 6 + 1 + 5 + 4)])   # then the 11 slots after them
+    def test_hi_bisection_tries_a_window_first(self, lo, hi, charged):
+        bwa = BlackWhiteArray.from_values(range(0, 64, 2))     # rank 5 only
+        before = bwa.counters.comparisons
+        assert bwa.interval(lo, hi) == list(range(lo, hi + 1, 2))
         assert bwa.counters.comparisons - before == charged
 
     def test_window_with_voids(self, demotion_ready_array):

@@ -5,7 +5,7 @@ import pytest
 
 from bwa import BlackWhiteArray, CapacityExceeded, GrowthPolicy
 
-from conftest import EIGHT
+from conftest import EIGHT, Narrow
 
 
 class TestConstruction:
@@ -284,6 +284,39 @@ class TestValidate:
         assert not demotion_ready_array._wmask[9]
         demotion_ready_array._white[9] = 60
         assert any("not sorted" in p for p in demotion_ready_array.validate())
+
+    @pytest.fixture
+    def bridged(self):
+        # ranks 7, 6 and 5: the bridges of 5 and 6 lead to 6 and 7
+        values = random.Random(2).sample(range(1000), 2 ** 7 + 2 ** 6 + 2 ** 5)
+        bwa = Narrow.from_values(values)
+        assert [r for r, link in enumerate(bwa._links) if link] == [5, 6]
+        assert bwa.validate() == []
+        return bwa
+
+    def test_corrupt_bridge_entry_reported(self, bridged):
+        bridged._links[6][0][3] += 1
+        assert bridged.validate() == ["rank 6: bridge stale"]
+
+    def test_corrupt_bridge_stride_reported(self, bridged):
+        marks, base, shift = bridged._links[5]
+        bridged._links[5] = marks, base, shift + 1
+        assert bridged.validate() == ["rank 5: bridge stale"]
+
+    def test_missing_bridge_reported(self, bridged):
+        bridged._links[5] = None
+        assert bridged.validate() == ["rank 5: bridge missing"]
+
+    def test_bridge_where_none_belongs_reported(self, bridged):
+        bridged._links[7] = bridged._links[4] = bridged._links[6]
+        assert bridged.validate() == ["rank 4: bridge stale",
+                                      "rank 7: bridge stale"]
+
+    def test_stale_bridge_after_a_slot_write_reported(self, bridged):
+        # rewrite rank 7 as a writer would, without rebuilding the bridge
+        # of rank 6 that samples it
+        bridged._white[128:256] = np.arange(128) * 8
+        assert bridged.validate() == ["rank 6: bridge stale"]
 
 
 class TestDump:

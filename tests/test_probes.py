@@ -11,6 +11,8 @@ import pytest
 
 from bwa import BlackWhiteArray, ReferenceModel
 
+from conftest import Narrow
+
 NAN = float("nan")
 
 
@@ -79,6 +81,58 @@ class TestMixedTypeProbes:
         assert bwa.search(40.0) is not None
         assert bwa.delete(np.float64(40.0)) is not None
         assert list(bwa) == [7, 90]
+
+
+class TestNumpyScalarProbes:
+    """A numpy scalar probe answers as the Python scalar it equals, where
+    numpy itself would compare an integer with a float rounded."""
+
+    BIG = 2 ** 53
+
+    def test_integer_probe_on_float64(self):
+        bwa, ref = _pair(np.float64, [float(self.BIG), 1.0], [])
+        p = np.int64(self.BIG + 1)
+        assert bwa.search(p) is None and p not in bwa
+        assert bwa.delete(p) is None and len(bwa) == 2
+        assert bwa.interval(p, p) == []
+        assert bwa.upper_bound(p) == self.BIG and bwa.lower_bound(p) is None
+        assert bwa.interval(np.int64(self.BIG), p) == [self.BIG]
+        _agree(bwa, ref, [self.BIG + 1, self.BIG - 1, self.BIG, 1])
+        for p in (np.int64(self.BIG + 1), np.uint64(self.BIG - 1),
+                  np.int64(self.BIG), np.int32(1)):
+            _same_as_python(bwa, p)
+
+    def test_float_probe_on_int64(self):
+        bwa, ref = _pair(np.int64, [self.BIG + 1, 7, self.BIG + 3], [7])
+        p = np.float64(self.BIG)
+        assert bwa.search(p) is None and bwa.delete(p) is None
+        assert bwa.lower_bound(p) == self.BIG + 1
+        assert bwa.upper_bound(np.float64(self.BIG + 4)) == self.BIG + 3
+        assert bwa.interval(p, p) == []
+        for p in (np.float64(self.BIG), np.float64(self.BIG + 4),
+                  np.float32(7.0), np.float64(2.0 ** 70), np.bool_(True)):
+            _same_as_python(bwa, p)
+
+    def test_bridged_structure(self):
+        # numpy probes through windowed bisections
+        values = [self.BIG + 2 * k for k in range(700)] + [1.0, 3.0]
+        bwa = Narrow.from_values(values, dtype=np.float64)
+        assert any(bwa._links)
+        for k in range(0, 1401, 7):
+            _same_as_python(bwa, np.int64(self.BIG + k))
+            _same_as_python(bwa, np.uint64(self.BIG + k))
+
+
+def _same_as_python(bwa, p):
+    """Every query answers numpy scalar ``p`` as it answers ``p.item()``."""
+    q = p.item()
+    assert type(q) in (int, float, bool)
+    assert bwa.search(p) == bwa.search(q), p
+    assert bwa.lower_bound(p) == bwa.lower_bound(q), p
+    assert bwa.upper_bound(p) == bwa.upper_bound(q), p
+    assert bwa.interval(p, p) == bwa.interval(q, q), p
+    dup = copy.deepcopy(bwa)
+    assert dup.delete(p) == bwa.delete(q) and dup.dump() == bwa.dump(), p
 
 
 class TestNanProbes:

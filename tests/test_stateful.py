@@ -1,11 +1,16 @@
 """Differential stateful test of the whole query surface.
 
-A ``hypothesis.stateful`` machine runs inserts, batch inserts, deletes,
-searches, extractions, extremes, both bounds and intervals over a small,
-duplicate-heavy domain, so void runs, padded void tails and ties all occur.
-Values are checked against ``ReferenceModel``; the slots that ``search``,
-``delete`` and the extractions pick, and the comparisons bounds and extremes
-are charged, are checked against naive specs read from ``segment_slots``.
+A ``hypothesis.stateful`` machine runs inserts, batch inserts, bulk
+rebuilds, deletes, searches, extractions, extremes, both bounds and
+intervals over a small, duplicate-heavy domain, so void runs, padded void
+tails and ties all occur.  Values are checked against ``ReferenceModel``;
+the slots that ``search``, ``delete`` and the extractions pick, and the
+comparisons bounds and extremes are charged, are checked against naive
+specs read from the raw slots.  ``validate()`` after every step rechecks
+the bridges every writer leaves.  The int64 and float64 machines run the
+class as it is.  The others run ``Narrow``, whose small states already
+bisect through bridges: int64, uint64, float32, and int64 under the fixed
+policy, where an insert past capacity must leave the structure as it was.
 """
 
 import copy
@@ -14,7 +19,9 @@ import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from bwa import BlackWhiteArray, ReferenceModel
+from bwa import BlackWhiteArray, CapacityExceeded, ReferenceModel
+
+from conftest import Narrow
 
 
 def _active(bwa, highest_first=False):
@@ -50,6 +57,32 @@ def spec_extreme(bwa, largest):
     return None if best is None else best[0]
 
 
+def spec_bisections(bwa, v, right):
+    """Comparisons the bisections of a bound for ``v`` are charged: the bit
+    length of each active rank's window, highest rank first.  The top rank
+    and a rank of at most ``_BRIDGED`` slots are bisected whole.  Below
+    another active rank ``u``, a rank's window runs between the bisection
+    points of the sampled values of ``u`` (every ``_LOOKAHEAD * 2**(u - r)``
+    -th slot) that bracket ``v``: after the last sample the probe's side
+    (``right``: ``bisect_right``) puts before it, up to the next sample."""
+    K = bwa._LOOKAHEAD
+    before = (lambda x: x <= v) if right else (lambda x: x < v)
+    charged, upper = 0, None
+    for r in _active(bwa, highest_first=True):
+        seg = bwa._white[1 << r:2 << r].tolist()
+        lo, hi = 0, len(seg)
+        if upper is not None and len(seg) > bwa._BRIDGED:
+            samples = upper[::K * len(upper) // len(seg)]
+            j = sum(map(before, samples))
+            if j:
+                lo = sum(x < samples[j - 1] for x in seg)
+            if j < len(samples):
+                hi = sum(x < samples[j] for x in seg)
+        charged += (hi - lo).bit_length()
+        upper = seg
+    return charged
+
+
 def _layout(bwa):
     return (bwa.total, bwa.occupancy, bwa.cap_exp,
             [bwa.segment_slots(r) for r in _active(bwa)])
@@ -64,6 +97,7 @@ class QuerySurface(RuleBasedStateMachine):
     probe of another numeric type than the dtype's is common."""
 
     dtype = np.int64
+    cls = BlackWhiteArray
 
     @staticmethod
     def value(k):
@@ -73,22 +107,48 @@ class QuerySurface(RuleBasedStateMachine):
     def probe(j):
         return j // 2 if j % 2 == 0 else j / 2
 
+    policy = "grow"
+    cap_exp = 1                                 # grows as it fills
+
     def __init__(self):
         super().__init__()
-        self.bwa = BlackWhiteArray(1, dtype=self.dtype)     # grows as it fills
+        self.bwa = self.cls(self.cap_exp, self.policy, dtype=self.dtype)
         self.model = ReferenceModel()
+
+    def _add(self, values, write):
+        """Run ``write``; it adds ``values`` unless it raises
+        ``CapacityExceeded``, which must leave the structure as it was."""
+        before = _snapshot(self.bwa)
+        try:
+            write()
+        except CapacityExceeded:
+            assert self.policy == "fixed"
+            assert _snapshot(self.bwa) == before
+            return
+        for v in values:
+            self.model.insert(v)
 
     @rule(k=keys)
     def insert(self, k):
-        self.bwa.insert(self.value(k))
-        self.model.insert(self.value(k))
+        v = self.value(k)
+        self._add([v], lambda: self.bwa.insert(v))
 
     @rule(ks=st.lists(keys, max_size=24))
     def insert_many(self, ks):
         values = [self.value(k) for k in ks]
-        self.bwa.insert_many(values)
-        for v in values:
-            self.model.insert(v)
+        self._add(values, lambda: self.bwa.insert_many(values))
+
+    @rule(ks=st.lists(keys, max_size=24))
+    def from_values(self, ks):
+        """Rebuild in bulk from the values held plus a batch."""
+        values = list(self.bwa) + [self.value(k) for k in ks]
+        cap_exp = None if self.policy == "grow" else self.bwa.cap_exp
+        if cap_exp is not None and len(values) >= 1 << cap_exp:
+            return                              # more than the fixed capacity
+        self.bwa = self.cls.from_values(values, cap_exp, self.policy,
+                                        self.dtype)
+        for k in ks:
+            self.model.insert(self.value(k))
 
     @rule(j=probe_keys)
     def delete(self, j):
@@ -132,16 +192,19 @@ class QuerySurface(RuleBasedStateMachine):
 
     @rule(j=probe_keys)
     def bounds(self, j):
-        # r + 1 per active segment, and a fold per further candidate
+        # a windowed bisection per active segment, and a fold per further
+        # candidate
         v = self.probe(j)
         ranks = list(_active(self.bwa))
-        bisections = sum(r + 1 for r in ranks)
-        for query, want, beyond in (
-                (self.bwa.lower_bound, self.model.lower_bound(v), lambda x: x > v),
-                (self.bwa.upper_bound, self.model.upper_bound(v), lambda x: x < v)):
+        for query, want, beyond, right in (
+                (self.bwa.lower_bound, self.model.lower_bound(v), lambda x: x > v,
+                 True),
+                (self.bwa.upper_bound, self.model.upper_bound(v), lambda x: x < v,
+                 False)):
             found = sum(any(x is not None and beyond(x)
                             for x in self.bwa.segment_slots(r)) for r in ranks)
-            assert self.charged(query, v) == (want, bisections + max(found - 1, 0))
+            charge = spec_bisections(self.bwa, v, right) + max(found - 1, 0)
+            assert self.charged(query, v) == (want, charge)
 
     @rule(i=probe_keys, j=probe_keys)
     def interval(self, i, j):
@@ -152,6 +215,26 @@ class QuerySurface(RuleBasedStateMachine):
     def sound(self):
         assert self.bwa.validate() == []
         assert len(self.bwa) == len(self.model)
+
+
+class NarrowQuerySurface(QuerySurface):
+    """int64 on ``Narrow``."""
+
+    cls = Narrow
+
+
+class UintQuerySurface(NarrowQuerySurface):
+    """uint64: the int64 domain, so a negative probe is common."""
+
+    dtype = np.uint64
+
+
+class FixedQuerySurface(NarrowQuerySurface):
+    """int64 under the fixed policy with 255 usable slots, which the batch
+    rules fill, so inserts past capacity are common."""
+
+    policy = "fixed"
+    cap_exp = 8
 
 
 class FloatQuerySurface(QuerySurface):
@@ -168,9 +251,31 @@ class FloatQuerySurface(QuerySurface):
         return j / 4
 
 
+class Float32QuerySurface(FloatQuerySurface):
+    """float32 on ``Narrow``: the float64 domain, every value of which
+    float32 holds."""
+
+    dtype = np.float32
+    cls = Narrow
+
+
+def _snapshot(bwa):
+    """Slots, counts and bridges, to compare a state with a later one."""
+    return (bwa._white.tolist(), bwa._wmask.tolist(), bwa._black.tolist(),
+            bwa.total, bwa.occupancy, bwa.cap_exp, copy.deepcopy(bwa._links))
+
+
 _settings = settings(max_examples=100, stateful_step_count=60, deadline=None)
 
 TestIntQuerySurface = QuerySurface.TestCase
 TestIntQuerySurface.settings = _settings
+TestNarrowQuerySurface = NarrowQuerySurface.TestCase
+TestNarrowQuerySurface.settings = _settings
+TestUintQuerySurface = UintQuerySurface.TestCase
+TestUintQuerySurface.settings = _settings
+TestFixedQuerySurface = FixedQuerySurface.TestCase
+TestFixedQuerySurface.settings = _settings
 TestFloatQuerySurface = FloatQuerySurface.TestCase
 TestFloatQuerySurface.settings = _settings
+TestFloat32QuerySurface = Float32QuerySurface.TestCase
+TestFloat32QuerySurface.settings = _settings
