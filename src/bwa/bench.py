@@ -55,8 +55,10 @@ class BenchConfig:
     probes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.min_exp <= self.max_exp:
-            raise ValueError(f"need 1 <= min_exp <= max_exp, got "
+        # values are drawn below 2**(m + 2) and doubled: int64 holds them
+        # up to m = 60
+        if not 1 <= self.min_exp <= self.max_exp <= 60:
+            raise ValueError(f"need 1 <= min_exp <= max_exp <= 60, got "
                              f"({self.min_exp}, {self.max_exp})")
         bad = set(self.ops) - set(OPS)
         if bad or not self.ops:
@@ -149,8 +151,8 @@ def run_insert_bench(cfg: BenchConfig) -> list[BenchRow]:
                     gc.enable()
             rows.append(BenchRow(m, "insert", cfg.config, cfg.hit_ratio,
                                  elapsed / n, bwa.counters.comparisons / n))
-        except MemoryError:
-            print(f"insert bench: out of memory at 2^{m}, size skipped",
+        except (MemoryError, ValueError) as exc:  # numpy: no room, too big
+            print(f"insert bench: cannot allocate 2^{m} ({exc}), size skipped",
                   file=sys.stderr)
     return rows
 
@@ -221,8 +223,8 @@ def run_probe_bench(cfg: BenchConfig) -> list[BenchRow]:
                 rows.extend(_perfect_rows(cfg, m, rng, ops))
             else:
                 rows.extend(_random_rows(cfg, m, rng, ops))
-        except MemoryError:
-            print(f"probe bench: out of memory at 2^{m}, size skipped",
+        except (MemoryError, ValueError) as exc:  # numpy: no room, too big
+            print(f"probe bench: cannot allocate 2^{m} ({exc}), size skipped",
                   file=sys.stderr)
     return rows
 

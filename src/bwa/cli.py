@@ -1,7 +1,7 @@
 """Command-line entry point: bench, verify, trace, and sort workflows.
 
-Exit codes: 0 success, 1 verification divergence or I/O failure, 2 bad
-flags or arguments.
+Exit codes: 0 success, 1 verification divergence, I/O failure or a
+structure too large to allocate, 2 bad flags or arguments.
 """
 
 from __future__ import annotations
@@ -78,13 +78,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.size_exp < 1 or args.ops < 0 or not 0.0 <= args.hit_ratio <= 1.0:
-        print("bwa verify: size-exp must be >= 1, ops >= 0, hit-ratio in [0, 1]",
-              file=sys.stderr)
+    # 62: the largest capacity exponent whose slot indices int64 holds
+    if (not 1 <= args.size_exp <= 62 or args.ops < 0
+            or not 0.0 <= args.hit_ratio <= 1.0):
+        print("bwa verify: size-exp must lie in [1, 62], ops >= 0, "
+              "hit-ratio in [0, 1]", file=sys.stderr)
         return 2
+    try:
+        bwa = BlackWhiteArray(args.size_exp)
+    except (MemoryError, ValueError) as exc:  # numpy: no room, or too big
+        print(f"bwa verify: cannot allocate 2**{args.size_exp} slots: {exc}",
+              file=sys.stderr)
+        return 1
     divergence = run_equivalence(seed=args.seed, n=args.ops,
                                  hit_ratio=args.hit_ratio,
-                                 cap_exp=args.size_exp)
+                                 cap_exp=args.size_exp,
+                                 factory=lambda cap_exp: bwa)
     if divergence is None:
         print(f"ok: {args.ops} ops, no divergence")
         return 0

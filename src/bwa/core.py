@@ -9,17 +9,18 @@ and its binary form is the whole configuration: rank ``i`` is active exactly
 when bit ``i`` of ``total`` is set.
 
 Inserting therefore behaves like incrementing a binary counter.  A new value
-lands in the rank-0 slot when that bit is clear; otherwise it goes to the
-black scratch slot and a carry chain of segment merges runs until it reaches
-the first inactive rank.  Inserting a batch (``insert_many``) adds its size
-to the counter, with one sort per power-of-two block it carries.  Deletion
-voids a slot in place; when a segment's occupancy falls to half, its
-survivors are demoted one rank down (and merged back up if the lower rank
-was taken), which keeps every active segment strictly more than half full.
+lands in the rank-0 slot when that bit is clear; otherwise it waits in the
+black scratch slot while one write sorts it with the occupied slots of every
+rank the carry clears into the first inactive rank.  Inserting a batch
+(``insert_many``) adds its size to the counter, with one such write per
+power-of-two block.  Deletion voids a slot in place; when a segment's
+occupancy falls to half, its survivors move one rank down, or, when that
+rank is taken, wait in black scratch and are written back up with it, which
+keeps every active segment strictly more than half full.
 
 Every active white segment is sorted over all its slots, voids included: a
-delete only clears the mask bit and leaves the value in place, and a merge
-fills its void tail with the largest merged value.  So one ``bisect`` per
+delete only clears the mask bit and leaves the value in place, and a write
+fills its void tail with the largest value written.  So one ``bisect`` per
 segment finds any position, and a scan of the mask from there finds the
 nearest occupied slot.  Queries walk the active segments highest rank
 first, and a *bridge* from each segment of more than ``_BRIDGED`` slots to
@@ -27,7 +28,7 @@ the next higher active one (the lookahead pointers of the cache-oblivious
 lookahead array, a form of fractional cascading) bounds its bisection to a
 window of about ``_LOOKAHEAD`` slots.  Probes read single slots through
 ``memoryview``s of the arrays, as plain Python scalars compared exactly
-with a probe of any numeric type; numpy works whole ranges (merges, scans,
+with a probe of any numeric type; numpy works whole ranges (writes, scans,
 drains, bridges).
 
 Thread-safety: none is provided.  Mutating calls need exclusive access;
@@ -63,25 +64,29 @@ class Counters:
     """Cost instrumentation.
 
     ``comparisons`` counts element comparisons only (void checks are free).
-    A merge is charged what a two-pointer merge of its occupied values
-    compares.  A query probes each active segment with one bisection over
-    a window of ``w`` slots, charged ``w.bit_length()`` (the most a
-    bisection over ``w`` slots takes): ``r + 1`` for a whole rank-``r``
-    segment, less where a bridge narrows the window.  A search then
-    compares the slot at the bisection point with the probe (1), and the
-    next occupied slot as well (1) when that slot is a void holding the
-    probe.  Bounds and extremes charge 1 per fold of two segments'
-    candidates.  An interval charges 1 for its early-out test of ``hi``
-    against the slot at the ``lo`` bisection point.  When that test passes,
-    ``hi`` is bisected over the ``_LOOKAHEAD`` slots from that point, and
-    over the rest of the segment only when the range runs past them.
-    ``moves`` counts slot writes, void padding included.  ``grows`` counts
-    capacity doublings.
+    A query probes each active segment with one bisection over a window of
+    ``w`` slots, charged ``w.bit_length()`` (the most a bisection over ``w``
+    slots takes): ``r + 1`` for a whole rank-``r`` segment, less where a
+    bridge narrows the window.  A search then compares the slot at the
+    bisection point with the probe (1), and the next occupied slot as well
+    (1) when that slot is a void holding the probe.  Bounds and extremes
+    charge 1 per fold of two segments' candidates.  An interval charges 1
+    for its early-out test of ``hi`` against the slot at the ``lo``
+    bisection point.  When that test passes, ``hi`` is bisected over the
+    ``_LOOKAHEAD`` slots from that point, and over the rest of the segment
+    only when the range runs past them.  ``moves`` counts slot writes, void
+    padding included.  ``grows`` counts capacity doublings.
 
+    A carry into rank ``top`` is charged what the pairwise chain of the
+    binary-counter insert costs: ``top`` merges (the value with rank 0, the
+    result with rank 1, ...), each writing a whole segment and comparing
+    what a two-pointer merge of its occupied values compares, counted in
+    closed form by ``_chain_comparisons`` (one sort does the work).  A
+    demotion onto an active rank is charged as one such merge.
     ``insert_many`` charges one ``merges`` per segment it writes and one
-    ``moves`` per slot of that segment; numpy sorts its blocks, so it
-    charges no ``comparisons``.  Bridge builds are numpy work as well and
-    charge nothing.  ``from_values`` leaves every counter at 0.
+    ``moves`` per slot of that segment; its blocks are sorted, not merged
+    pairwise, so it charges no ``comparisons``.  Bridge builds are numpy
+    work and charge nothing.  ``from_values`` leaves every counter at 0.
     """
 
     comparisons: int = 0
@@ -123,6 +128,34 @@ def merge_comparisons(b, w) -> int:
     return nb + nw - tail
 
 
+def _chain_comparisons(runs, counts, start=0) -> int:
+    """Comparisons of merging sorted runs pairwise, each merge charged as
+    ``merge_comparisons`` charges it: the first run with the second, the
+    result with the third, and so on.  The runs lie back to back in ``runs``
+    from ``start``, none empty, with the lengths ``counts``.  With ``C`` the
+    runs merged so far and ``W`` the next, a merge costs ``|C| +
+    bisect_left(W, max C)`` when ``max C <= max W``, else ``|W| + #(C <=
+    max W)``, which bisects only the runs of ``C`` ending above ``max W``."""
+    i = start + counts[0]
+    top = runs[i - 1]
+    done = [(start, i, top)]            # the runs of C: first, end, last value
+    cmp = 0
+    for n in counts[1:]:
+        e = i + n
+        last = runs[e - 1]
+        if top <= last:                 # |C| is i - start
+            cmp += bisect_left(runs, top, i, e) - start
+            top = last
+        else:
+            cmp += n
+            for lo, hi, x in done:
+                cmp += (hi if x <= last else
+                        bisect_right(runs, last, lo, hi)) - lo
+        done.append((i, e, last))
+        i = e
+    return cmp
+
+
 def _plain(value):
     """A numpy scalar as the Python scalar it equals.  Python compares an
     int with a float exactly; numpy rounds the int to a float first."""
@@ -141,7 +174,7 @@ class BlackWhiteArray:
     ``2**cap_exp`` slots of which ``2**cap_exp - 1`` are usable.
     """
 
-    _SMALL_MERGE = 8  # source segment length at or below which merges sort lists
+    _SMALL_MERGE = 8  # segment length at or below which writes sort lists
     _LOOKAHEAD = 16   # slots of a lower segment per bridge entry (a power of 2)
     _BRIDGED = 1 << 14  # segments of more slots get a bridge, see _bridge
     _NO_BOUND = object()  # the bound of a query for the minimum or maximum
@@ -273,29 +306,17 @@ class BlackWhiteArray:
             self._wmask[1] = True
             self._occ[0] = 1
             self._total = total + 1
+            self.counters.moves += 1
         else:
             self._black[1] = value
             if self._bv[1] != value:
                 self._batch((value,))       # raises: the dtype changed value
-            # binary carry of total+1: merge upward while the next rank is taken
-            rank = 0
-            bits = total >> 1
-            carry = 1
-            while bits & 1:
-                carry = self._merge(rank, to_black=True, black_n=carry)
-                rank += 1
-                bits >>= 1
-            n = self._merge(rank, to_black=False, black_n=carry)
-            top = rank + 1
-            occ = self._occ                 # counts only after the last merge;
-            occ[top] = n                    # a merge reads only its own rank's
-            while rank >= 0:
-                occ[rank] = 0
-                rank -= 1
-            self._total = total + 1
-            if 1 << top > self._BRIDGED:
-                self._relink(top)
-        self.counters.moves += 1
+            # the carry of total + 1: the value and ranks 0 .. top - 1 into top
+            top = ((total + 1) & ~total).bit_length() - 1
+            self._write(top, self._bv[1:2], 0, True)
+            ctr = self.counters             # the pairwise chain's charge: a
+            ctr.merges += top               # merge and a segment per rank,
+            ctr.moves += (2 << top) - 1     # and the value's slot
 
     def insert_many(self, values) -> None:
         """Add every value of ``values``, leaving slot for slot the state
@@ -319,7 +340,6 @@ class BlackWhiteArray:
                     f"{k} values exceed the {(1 << self.cap_exp) - 1 - total} "
                     f"free usable slots of a 2**{self.cap_exp}-slot structure")
             self._grow(need)
-        white, wmask, occ = self._white, self._wmask, self._occ
         ctr = self.counters
         done = 0
         while done < k:
@@ -327,30 +347,13 @@ class BlackWhiteArray:
             if total:
                 size = min(size, total & -total)
             low = rank = size.bit_length() - 1
-            parts = [batch[done:done + size]]
-            n = size
             while (total >> rank) & 1:      # the ranks the carry clears
-                s = 1 << rank
-                parts.append(white[s:s << 1][wmask[s:s << 1]])
-                n += occ[rank]
                 rank += 1
-            s = 1 << rank
-            merged = white[s:s + n]         # above every source segment
-            np.concatenate(parts, out=merged)
-            merged.sort()
-            wmask[s:s + n] = True
-            if n < s:                       # the carry met voids
-                white[s + n:s << 1] = merged[-1]
-                wmask[s + n:s << 1] = False
-            occ[low:rank] = [0] * (rank - low)
-            occ[rank] = n
+            self._write(rank, batch[done:done + size], low)
             ctr.merges += 1
-            ctr.moves += s
+            ctr.moves += 1 << rank
             total += size
             done += size
-            self._total = total
-            if s > self._BRIDGED:
-                self._relink(rank)
 
     def delete(self, value) -> Optional[int]:
         """Void one occurrence; returns the slot index it held, or None."""
@@ -597,94 +600,91 @@ class BlackWhiteArray:
             raise ValueError(f"{v!r} is not exactly representable in {self.dtype}")
         return batch
 
-    def _merge(self, rank: int, to_black: bool, black_n: int) -> int:
-        """Merge the black and white segments of ``rank`` into the rank+1
-        segment of the destination array.
-
-        Only occupied slots take part; they land contiguously from the
-        destination segment's first index, and a white destination's tail is
-        void-padded with the largest merged value, so all its slots stay
-        sorted.
-        Black occupied slots always form a prefix of their segment (every
-        writer lays them down contiguously), so ``black_n`` fully describes
-        the black side and the black array needs no mask.  Returns the
-        occupied count written.  Never touches ``total`` or the occupancy
-        vector; callers own that bookkeeping.
-        """
-        ctr = self.counters
-        ctr.merges += 1
+    def _write(self, rank: int, new, low: int, chain: bool = False) -> None:
+        """Fill white rank ``rank`` with ``new`` and the occupied slots of
+        ranks ``low .. rank - 1`` (``[2**low, 2**rank)``, which it clears):
+        laid back to back there and sorted, the void tail padded with the
+        largest value.  With ``chain``, ``new`` is sorted (alone, it is just
+        copied) and the runs' pairwise merges, lowest first, are charged.
+        Records occupancy, ``total`` and bridges after the slots."""
         s = 1 << rank
-        e = s << 1            # source end (exclusive) == destination start
-
-        if rank == 0:
-            # single-slot sources; both are occupied in every call path
-            b = self._black[1]
-            w = self._white[1]
-            ctr.comparisons += 1
-            if b <= w:
-                lo, hi = b, w
-            else:
-                lo, hi = w, b
-            if to_black:
-                self._black[2] = lo
-                self._black[3] = hi
-            else:
-                self._white[2] = lo
-                self._white[3] = hi
-                self._wmask[2] = True
-                self._wmask[3] = True
-            ctr.moves += 2
-            return 2
-
-        dst = self._black if to_black else self._white
-        b = self._black[s:s + black_n]
-        w = self._white[s:e]
-        if self._occ[rank] < s:
-            w = w[self._wmask[s:e]]
-        if e - s <= self._SMALL_MERGE:
-            b, w = b.tolist(), w.tolist()
-            merged = sorted(b + w)
+        a = 1 << low
+        occ = self._occ
+        if a < s <= self._SMALL_MERGE:
+            wv, mv = self._wv, self._mv
+            vals = new.tolist()
+            if s == 2:                      # one value and rank 0's: no
+                x, y = vals[0], wv[1]       # void, and one comparison
+                wv[2], wv[3] = (x, y) if x <= y else (y, x)
+                mv[2] = mv[3] = True
+                if chain:
+                    self.counters.comparisons += 1
+                occ[0] = 0                  # the bookkeeping below, for
+                occ[1] = 2                  # the most frequent write
+                self._total = self._total & ~1 | 2
+                return
+            vals += compress(wv[a:s].tolist(), mv[a:s].tolist())
+            if chain:
+                self.counters.comparisons += _chain_comparisons(
+                    vals, [len(new), *occ[low:rank]])
+            vals.sort()
+            n = len(vals)
+            for i, v in enumerate(vals, s):
+                wv[i] = v
+                mv[i] = True
+            for i in range(s + n, s << 1):  # the void tail
+                wv[i] = v
+                mv[i] = False
         else:
-            merged = np.concatenate([b, w])
-            merged.sort()
-        ctr.comparisons += merge_comparisons(b, w)
-        n = len(merged)
-        dst[e:e + n] = merged
-        if not to_black:
-            self._wmask[e:e + n] = True
-            self._white[e + n:e << 1] = merged[-1]
-            self._wmask[e + n:e << 1] = False
-        ctr.moves += e        # destination segment length
-        return n
+            white, wmask = self._white, self._wmask
+            if a == s:                      # new alone, a sorted run if chain
+                n = len(new)
+                white[s:s + n] = new
+                if not chain:
+                    white[s:s + n].sort()
+            else:
+                counts = [len(new), *occ[low:rank]]
+                n = sum(counts)
+                merged = white[s:s + n]
+                np.concatenate((new, white[a:s][wmask[a:s]]), out=merged)
+                if chain:
+                    self.counters.comparisons += _chain_comparisons(
+                        self._wv, counts, s)
+                merged.sort()
+            wmask[s:s + n] = True
+            if n < s:
+                white[s + n:s << 1] = white[s + n - 1]
+                wmask[s + n:s << 1] = False
+        occ[low:rank] = [0] * (rank - low)
+        occ[rank] = n
+        self._total = self._total & ~(s - a) | s
+        if s > self._BRIDGED:
+            self._relink(rank)
 
     def _demote(self, rank: int) -> None:
         """Move a half-empty segment's survivors one rank down.
 
         Requires occupancy exactly half, so the survivors fill the lower
-        segment completely.  If the lower rank already holds data the
-        survivors go to black scratch and a merge puts everything back into
-        the white segment of ``rank``; either way occupancy ends above 75%.
+        segment completely.  If the lower rank already holds data, they are
+        staged in black scratch and written back into ``rank`` with it;
+        either way occupancy ends above 75%.
         """
         s = 1 << rank
         half = s >> 1
         ctr = self.counters
         ctr.demotes += 1
+        ctr.moves += half
         vals = self._white[s:s << 1][self._wmask[s:s << 1]]
         if (self._total >> (rank - 1)) & 1:
             self._black[half:s] = vals
-            ctr.moves += half
-            n = self._merge(rank - 1, to_black=False, black_n=half)
-            self._occ[rank] = n
-            self._occ[rank - 1] = 0
-        else:
-            self._white[half:s] = vals
-            self._wmask[half:s] = True
-            ctr.moves += half
-            self._occ[rank - 1] = self._occ[rank]
+            self._write(rank, self._black[half:s], rank - 1, True)
+            ctr.merges += 1
+            ctr.moves += s
+        else:                               # rank - 1 is free: move there
             self._occ[rank] = 0
-        self._total -= half
-        if s > self._BRIDGED:
-            self._relink(rank)
+            self._total -= s
+            self._links[rank] = None        # a bridge needs an active rank
+            self._write(rank - 1, vals, rank - 1, True)
 
     def _bridge(self, rank: int) -> Optional[tuple]:
         """The bridge of ``rank`` as the raw slots define it, or None.

@@ -80,24 +80,33 @@ def test_oracle_equivalence_100k():
             f"0 divergences, validation after all 100000 steps, {elapsed:.1f}s")
 
 
-def _insert_comparisons(m, seed):
+def _insert_counters(m, seed):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 8 << m, 1 << m, dtype=np.int64).tolist()
     bwa = BlackWhiteArray(m + 1, "fixed")
     for v in values:
         bwa.insert(v)
-    return bwa.counters.comparisons
+    return bwa.counters
+
+
+# the pairwise carry chain's exact charges for the 2**m inserts below:
+# (comparisons, moves, merges)
+INSERT_COUNTERS = {10: (8_958, 11_264, 1_023),
+                   14: (208_662, 245_760, 16_383),
+                   18: (4_386_980, 4_980_736, 262_143)}
 
 
 def test_insert_comparison_bound():
     details = []
     for m in (10, 14, 18):
-        cmp_m = _insert_comparisons(m, SEED + m)
-        cmp_next = _insert_comparisons(m + 1, SEED + m + 100)
+        ctr = _insert_counters(m, SEED + m)
+        cmp_m = ctr.comparisons
+        cmp_next = _insert_counters(m + 1, SEED + m + 100).comparisons
         bound = 2 * m * (1 << m)
         ratio = cmp_next / cmp_m
         assert cmp_m <= bound, f"m={m}: {cmp_m} > {bound}"
         assert ratio <= 2.4, f"m={m}: doubling ratio {ratio:.3f} > 2.4"
+        assert (cmp_m, ctr.moves, ctr.merges) == INSERT_COUNTERS[m], f"m={m}"
         details.append(f"m={m}: {cmp_m} <= {bound}, x{ratio:.2f}")
     _report("insert-comparison-bound", "; ".join(details))
 

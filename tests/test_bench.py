@@ -26,6 +26,12 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(min_exp=4, max_exp=6, hit_ratio=1.5)
 
+    def test_exponents_stay_within_int64_values(self):
+        # values are drawn below 2**(m + 2) and doubled in int64
+        assert BenchConfig(min_exp=60, max_exp=60).max_exp == 60
+        with pytest.raises(ValueError):
+            BenchConfig(min_exp=4, max_exp=61)
+
 
 class TestInsertBench:
     CFG = BenchConfig(min_exp=10, max_exp=14, ops=("insert",),

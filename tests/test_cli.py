@@ -198,6 +198,20 @@ class TestVerify:
     def test_bad_arguments_exit_two(self, capsys):
         assert main(["verify", "--size-exp", "0"]) == 2
 
+    @pytest.mark.parametrize("exp", ["63", "70"])
+    def test_size_exp_beyond_int64_exits_two(self, capsys, exp):
+        assert main(["verify", "--size-exp", exp, "--ops", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bwa verify: size-exp must lie in [1, 62]")
+        assert err.count("\n") == 1
+
+    def test_unallocatable_size_exits_one(self, capsys):
+        # 2**62 int64 slots pass numpy's size limit: refused, not allocated
+        assert main(["verify", "--size-exp", "62", "--ops", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bwa verify: cannot allocate 2**62 slots")
+        assert err.count("\n") == 1
+
 
 class TestBench:
     def test_tiny_sweep_writes_csv(self, tmp_path):
@@ -215,6 +229,27 @@ class TestBench:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "bwa bench" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exp", ["61", "70"])
+    def test_exponent_beyond_int64_exits_two(self, tmp_path, capsys, exp):
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--min-exp", exp, "--max-exp", exp,
+                   "--ops", "search", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bwa bench: need 1 <= min_exp <= max_exp <= 60")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_largest_exponent_is_skipped_not_allocated(self, tmp_path, capsys):
+        # 2**60 values pass numpy's size limit: the size is skipped
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--min-exp", "60", "--max-exp", "60",
+                   "--ops", "insert,search", "--config", "perfect",
+                   "--out", str(out)])
+        assert rc == 0
+        assert read_csv(out) == []
+        assert "size skipped" in capsys.readouterr().err
 
     def test_unwritable_out_exits_one(self, capsys):
         rc = main(["bench", "--min-exp", "10", "--max-exp", "10",

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from bwa import BlackWhiteArray, CapacityExceeded, GrowthPolicy
+from bwa import (BlackWhiteArray, CapacityExceeded, GrowthPolicy, core,
+                 merge_comparisons)
 
 from conftest import EIGHT, Narrow
 
@@ -111,34 +112,43 @@ class TestInsert:
             bwa.insert(rng.randrange(10 ** 6))
             assert bwa.counters.merges - before == trailing
 
-    def test_failed_merge_leaves_state(self):
-        # total 31 = 0b11111: the next insert runs a five-merge carry chain
+    @pytest.mark.parametrize("ranks, fail", [
+        (3, "write"), (3, "chain"), (5, "write"), (5, "chain"), (5, "sort")])
+    def test_failed_write_leaves_state(self, monkeypatch, ranks, fail):
+        # total 2**ranks - 1: the next insert carries every active rank, into
+        # a segment of 8 slots (sorted as a list) or 32 (sorted by numpy)
         bwa = BlackWhiteArray(6, "fixed")
-        for v in range(31):
+        for v in range((1 << ranks) - 1):
             bwa.insert(v * 7 % 31)
-        for v in (7, 22):                   # voids in the rank-4 segment
-            bwa.delete(v)
-        assert bwa.total == 31
+        for v in bwa.segment_slots(ranks - 1)[1:3 if ranks == 5 else 2]:
+            bwa.delete(v)                   # voids in the top segment
+        assert bwa.total == (1 << ranks) - 1
         before = (bwa.total, bwa.occupancy, len(bwa), list(bwa))
-        merge = bwa._merge
-        for k in range(1, 6):               # fail the k-th merge of the chain
-            calls = []
 
-            def failing(*args, **kwargs):
-                calls.append(args)
-                if len(calls) == k:
-                    raise MemoryError("merge failed")
-                return merge(*args, **kwargs)
+        def failing(*args, **kwargs):
+            raise MemoryError("write failed")
 
-            bwa._merge = failing
+        def concatenate_then_fail(arrays, out=None, **kwargs):
+            concatenate(arrays, out=out, **kwargs)  # the destination holds
+            raise MemoryError("sort failed")        # the unsorted runs
+
+        concatenate = np.concatenate
+        with monkeypatch.context() as patch:
+            if fail == "write":
+                patch.setattr(bwa, "_write", failing)
+            elif fail == "chain":
+                patch.setattr(core, "_chain_comparisons", failing)
+            else:
+                patch.setattr(core.np, "concatenate", concatenate_then_fail)
             with pytest.raises(MemoryError):
                 bwa.insert(100)
-            del bwa._merge
-            assert bwa.validate() == []
-            assert (bwa.total, bwa.occupancy, len(bwa), list(bwa)) == before
-        bwa.insert(100)                     # the chain runs to the end after
+        assert bwa.validate() == []
+        assert (bwa.total, bwa.occupancy, len(bwa), list(bwa)) == before
+        bwa.insert(100)                     # the carry runs to the end after
         assert bwa.validate() == [] and list(bwa) == before[3] + [100]
-        assert bwa.occupancy == (0, 0, 0, 0, 0, 30)
+        occupancy = [0] * 6
+        occupancy[ranks] = before[2] + 1
+        assert bwa.occupancy == tuple(occupancy)
 
     def test_thousand_random_inserts_drain_sorted(self):
         rng = random.Random(11)
@@ -150,52 +160,90 @@ class TestInsert:
         assert bwa.validate() == []
 
 
-class TestMergeUnit:
+class TestWriteUnit:
     @staticmethod
     def _assert_sorted_padding(bwa, rank, n):
         # every slot of the destination is sorted; the void tail repeats the
-        # largest merged value
+        # largest value written
         seg = bwa._white[1 << rank:2 << rank].tolist()
         assert seg == sorted(seg)
         assert seg[n:] == [seg[n - 1]] * ((1 << rank) - n)
 
-    def test_void_skipping_and_top_padding(self):
-        bwa = BlackWhiteArray(4, "fixed")
-        bwa._black[4:8] = [6, 52, 67, 83]
+    @pytest.fixture(params=["list", "array"])
+    def bwa(self, request):
+        bwa = BlackWhiteArray(5, "fixed")
+        if request.param == "array":
+            bwa._SMALL_MERGE = 0
+        return bwa
+
+    def test_void_skipping_and_top_padding(self, bwa):
         bwa._white[4:8] = [21, 77, 80, 91]  # 80 deleted: the value stays
         bwa._wmask[4:8] = [True, True, False, True]
         bwa._occ[2] = 3
-        n = bwa._merge(2, to_black=False, black_n=4)
-        assert n == 7
+        bwa._total = 4
+        new = np.array([6, 52, 67, 83])
+        bwa._write(3, new, 2, True)
         assert bwa._white[8:15].tolist() == [6, 21, 52, 67, 77, 83, 91]
         assert bwa._wmask[8:16].tolist() == [True] * 7 + [False]
-        self._assert_sorted_padding(bwa, 3, n)
+        self._assert_sorted_padding(bwa, 3, 7)
+        assert bwa.occupancy == (0, 0, 0, 7, 0) and bwa.total == 8
+        assert bwa.counters.comparisons == merge_comparisons(
+            [6, 52, 67, 83], [21, 77, 91])
 
-    def test_single_slot_sources(self):
-        bwa = BlackWhiteArray(4, "fixed")
+    def test_single_slot_sources(self, bwa):
         bwa._black[1] = 52
         bwa._white[1] = 45
         bwa._wmask[1] = True
         bwa._occ[0] = 1
-        assert bwa._merge(0, to_black=False, black_n=1) == 2
+        bwa._total = 1
+        bwa._write(1, bwa._black[1:2], 0, True)
         assert bwa._white[2:4].tolist() == [45, 52]
+        assert bwa._wmask[2:4].tolist() == [True, True]
+        assert bwa.occupancy == (0, 2, 0, 0, 0) and bwa.total == 2
+        assert bwa.counters.comparisons == 1
 
-    def test_voids_never_compared(self):
-        bwa = BlackWhiteArray(4, "fixed")
-        bwa._black[2] = 10
+    def test_voids_never_compared(self, bwa):
         bwa._white[2:4] = [15, 20]          # 15 deleted: the value stays
         bwa._wmask[2:4] = [False, True]
         bwa._occ[1] = 1
-        before = bwa.counters.comparisons
-        n = bwa._merge(1, to_black=False, black_n=1)
-        assert n == 2
+        bwa._total = 2
+        bwa._write(2, np.array([10]), 1, True)
         assert bwa._white[4:6].tolist() == [10, 20]
         assert bwa._wmask[4:8].tolist() == [True, True, False, False]
-        assert bwa.counters.comparisons - before == 1
-        self._assert_sorted_padding(bwa, 2, n)
+        assert bwa.counters.comparisons == 1
+        self._assert_sorted_padding(bwa, 2, 2)
 
-    def test_list_and_array_merges_agree(self):
-        # the merge picks list or numpy sorting by segment size; either
+    def test_sorts_a_batch_and_charges_nothing_without_chain(self, bwa):
+        bwa._white[2:4] = [15, 20]
+        bwa._wmask[2:4] = [True, True]
+        bwa._occ[1] = 2
+        bwa._total = 2 | 16
+        bwa._write(3, np.array([30, 5]), 1)
+        assert bwa._white[8:12].tolist() == [5, 15, 20, 30]
+        assert bwa._wmask[8:16].tolist() == [True] * 4 + [False] * 4
+        self._assert_sorted_padding(bwa, 3, 4)
+        assert bwa.total == 8 | 16 and bwa.occupancy == (0, 0, 0, 4, 0)
+        assert bwa.counters.comparisons == 0
+
+    def test_chain_charges_each_pairwise_merge(self, bwa):
+        # value 50 carried through ranks 0..2: merged with [60], then with
+        # rank 1, then with rank 2, each merge charged on its own
+        bwa._white[1:8] = [60, 10, 70, 5, 30, 40, 90]
+        bwa._wmask[1:8] = [True, True, True, True, False, True, True]
+        bwa._occ[:3] = [1, 2, 3]
+        bwa._total = 7
+        bwa._write(3, np.array([50]), 0, True)
+        runs = [[50], [60], [10, 70], [5, 40, 90]]
+        want, merged = 0, runs[0]
+        for run in runs[1:]:
+            want += merge_comparisons(merged, run)
+            merged = sorted(merged + run)
+        assert bwa.counters.comparisons == want
+        assert bwa._white[8:15].tolist() == merged
+        assert bwa.total == 8 and bwa.occupancy == (0, 0, 0, 7, 0)
+
+    def test_list_and_array_writes_agree(self):
+        # the writer picks list or numpy sorting by segment size; either
         # choice must give the same slots and the same counters
         rng = random.Random(6)
         ops = [(rng.random() < 0.3, rng.randrange(300)) for _ in range(3000)]

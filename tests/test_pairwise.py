@@ -1,0 +1,86 @@
+"""The one-write carry against the pairwise merge chain it replaces.
+
+Random histories of inserts, batch inserts, deletes and extractions run on
+the real class and on ``PairwiseChain`` side by side, on four dtypes and
+under both growth policies, with the default bridge constants and with
+``Narrow``'s small ones.  After every step the two must agree on the
+result, ``total``, the occupancy, every active rank's slots, the bridges
+and all five counters.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from bwa import BlackWhiteArray, CapacityExceeded
+
+from conftest import Narrow
+from pairwise import PairwiseChain
+
+
+class NarrowChain(PairwiseChain):
+    _LOOKAHEAD = Narrow._LOOKAHEAD
+    _BRIDGED = Narrow._BRIDGED
+
+
+# each dtype's values: small integers moved into a range that tests it
+VALUES = {"int64": lambda v: v - 100, "uint64": lambda v: 2 ** 64 - 256 + v,
+          "float64": lambda v: v / 4, "float32": lambda v: v / 4 - 7}
+
+
+def _history(seed, grow, steps=400):
+    """Ops and arguments: inserts (one in six a batch of up to 40 values)
+    with probability ``grow``, else deletes (mostly of a value inserted
+    before) and extractions."""
+    rng = random.Random(seed)
+    seen = [0]
+    for _ in range(steps):
+        r = rng.random()
+        if r < grow / 6:
+            batch = [rng.randrange(200) for _ in range(rng.randrange(41))]
+            seen += batch
+            yield "insert_many", batch
+        elif r < grow:
+            seen.append(rng.randrange(200))
+            yield "insert", seen[-1]
+        elif r < grow + (1 - grow) * 0.7:
+            hit = rng.random() < 0.9
+            yield "delete", rng.choice(seen) if hit else rng.randrange(200)
+        else:
+            yield rng.choice(("extract_min", "extract_max")), None
+
+
+def _state(bwa):
+    active = [r for r in range(bwa.cap_exp) if bwa.is_active(r)]
+    return (bwa.total, bwa.occupancy, bwa.cap_exp,
+            [bwa.segment_slots(r) for r in active], bwa._links,
+            vars(bwa.counters))
+
+
+def _apply(bwa, op, arg):
+    try:
+        return getattr(bwa, op)(*(() if arg is None else (arg,)))
+    except CapacityExceeded:
+        return CapacityExceeded
+
+
+@settings(max_examples=150, deadline=None)
+@given(dtype=st.sampled_from(sorted(VALUES)),
+       policy=st.sampled_from(["grow", "fixed"]), narrow=st.booleans(),
+       seed=st.integers(0, 2 ** 32), grow=st.floats(0.1, 0.7))
+def test_one_write_carry_matches_pairwise_chain(dtype, policy, narrow, seed,
+                                                grow):
+    real, ref = (Narrow, NarrowChain) if narrow else (BlackWhiteArray,
+                                                      PairwiseChain)
+    cap_exp = 2 if policy == "grow" else 8
+    a = real(cap_exp, policy=policy, dtype=dtype)
+    b = ref(cap_exp, policy=policy, dtype=dtype)
+    value = VALUES[dtype]
+    for op, arg in _history(seed, grow):
+        if op == "insert_many":
+            arg = [value(v) for v in arg]
+        elif arg is not None:
+            arg = value(arg)
+        assert _apply(a, op, arg) == _apply(b, op, arg), (op, arg)
+        assert _state(a) == _state(b), (op, arg)
+    assert a.validate() == []

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bwa import (BlackWhiteArray, CapacityExceeded, merge_comparisons,
                  run_equivalence)
+from bwa.core import _chain_comparisons
 
 values_lists = st.lists(st.integers(-(2 ** 31), 2 ** 31 - 1), max_size=300)
 dup_heavy_lists = st.lists(st.integers(0, 15), max_size=300)
@@ -107,6 +108,50 @@ def test_merge_comparison_closed_form(b, w):
     b, w = sorted(b), sorted(w)
     assert merge_comparisons(np.asarray(b, np.int64), np.asarray(w, np.int64)) \
         == _count_with_loop(b, w)
+
+
+def _count_chain_with_loop(segments):
+    # merge the segments pairwise, lowest first, each by a two-pointer loop
+    # over its slots that steps over voids (None) without comparing them;
+    # ties are drawn from the runs merged so far
+    merged = [v for v in segments[0] if v is not None]
+    count = 0
+    for seg in segments[1:]:
+        out, i, j = [], 0, 0
+        while True:
+            while j < len(seg) and seg[j] is None:
+                j += 1
+            if i == len(merged) or j == len(seg):
+                break
+            count += 1
+            if merged[i] <= seg[j]:
+                out.append(merged[i])
+                i += 1
+            else:
+                out.append(seg[j])
+                j += 1
+        merged = out + merged[i:] + [v for v in seg[j:] if v is not None]
+    return count
+
+
+segments_with_voids = st.lists(
+    st.lists(st.tuples(st.integers(0, 30), st.booleans()), min_size=1,
+             max_size=12).filter(lambda seg: any(o for _, o in seg)),
+    min_size=1, max_size=7)
+
+
+@given(segments_with_voids, st.lists(st.integers(0, 30), max_size=3))
+def test_chain_comparison_closed_form(segments, prefix):
+    segments = [[v if o else None for v, o in zip(sorted(v for v, _ in seg),
+                                                  (o for _, o in seg))]
+                for seg in segments]
+    runs = [[v for v in seg if v is not None] for seg in segments]
+    slots = prefix + [v for run in runs for v in run]
+    counts = [len(run) for run in runs]
+    want = _count_chain_with_loop(segments)
+    assert _chain_comparisons(slots, counts, len(prefix)) == want
+    flat = np.asarray(slots, np.int64)
+    assert _chain_comparisons(flat.data, counts, len(prefix)) == want
 
 
 @given(st.integers(0, 9))
