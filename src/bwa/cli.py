@@ -7,6 +7,7 @@ structure too large to allocate, 2 bad flags or arguments.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -103,9 +104,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.script).read_text()
+        text = Path(args.script).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"bwa trace: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"bwa trace: {args.script}: not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     bwa = BlackWhiteArray(4)
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -168,7 +172,17 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()                  # a closed reader shows here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,21 +15,22 @@ rank the carry clears into the first inactive rank.  Inserting a batch
 (``insert_many``) adds its size to the counter, with one such write per
 power-of-two block.  Deletion voids a slot in place; when a segment's
 occupancy falls to half, its survivors move one rank down, or, when that
-rank is taken, wait in black scratch and are written back up with it, which
-keeps every active segment strictly more than half full.
+rank is taken, are written back up with it, which keeps every active
+segment strictly more than half full.
 
 Every active white segment is sorted over all its slots, voids included: a
-delete only clears the mask bit and leaves the value in place, and a write
-fills its void tail with the largest value written.  So one ``bisect`` per
-segment finds any position, and a scan of the mask from there finds the
-nearest occupied slot.  Queries walk the active segments highest rank
-first, and a *bridge* from each segment of more than ``_BRIDGED`` slots to
-the next higher active one (the lookahead pointers of the cache-oblivious
-lookahead array, a form of fractional cascading) bounds its bisection to a
-window of about ``_LOOKAHEAD`` slots.  Probes read single slots through
-``memoryview``s of the arrays, as plain Python scalars compared exactly
-with a probe of any numeric type; numpy works whole ranges (writes, scans,
-drains, bridges).
+delete only clears the slot's mask byte and leaves the value in place, and a
+write fills its void tail with the largest value written.  So one ``bisect``
+per segment finds any position, and ``find`` or ``rfind`` on the mask, one
+byte per slot, finds the nearest occupied slot from there.  Queries walk
+the active segments highest rank first, and a *bridge* from each segment of
+more than ``_BRIDGED`` slots to the next higher active one (the lookahead
+pointers of the cache-oblivious lookahead array, a form of fractional
+cascading) bounds its bisection to a window of about ``_LOOKAHEAD`` slots.
+Probes read single slots through ``memoryview``s of the arrays, as plain
+Python scalars compared exactly with a probe of any numeric type; numpy
+works whole ranges (writes, drains, bridges), reading the mask as a bool
+array over the same bytes.
 
 Thread-safety: none is provided.  Mutating calls need exclusive access;
 read-only calls (search, bounds, extremes, interval, iteration, stats,
@@ -165,10 +166,11 @@ def _plain(value):
 class BlackWhiteArray:
     """Ordered multiset over numeric values with amortized-logarithmic ops.
 
-    Slots live in numpy arrays; a boolean mask marks which slots hold a
-    value, so voids never occupy a value of the element domain.  Values must
-    be totally ordered under the dtype: ``int64`` by default, or any native
-    bool, integer, ``float32`` or ``float64`` dtype (others raise ValueError).
+    Slots live in numpy arrays; a byte mask (a ``bytearray`` that numpy
+    sees as a bool array) marks which slots hold a value, so voids never
+    occupy a value of the element domain.  Values must be totally ordered
+    under the dtype: ``int64`` by default, or any native bool, integer,
+    ``float32`` or ``float64`` dtype (others raise ValueError).
 
     ``cap_exp`` is the capacity exponent: the white array holds
     ``2**cap_exp`` slots of which ``2**cap_exp - 1`` are usable.
@@ -191,7 +193,7 @@ class BlackWhiteArray:
                              "float32 or float64 dtype")
         n = 1 << cap_exp
         self._white = np.zeros(n, dtype=self.dtype)
-        self._wmask = np.zeros(n, dtype=bool)
+        self._mask = bytearray(n)           # 1 per occupied slot
         self._black = np.zeros(n >> 1, dtype=self.dtype)
         self._build_views()
         self._occ = [0] * cap_exp       # occupied-slot count per white rank
@@ -200,9 +202,10 @@ class BlackWhiteArray:
         self.counters = Counters()
 
     def __getstate__(self) -> dict:
-        # memoryviews do not pickle; __setstate__ builds them again
+        # memoryviews do not pickle, and the mask's bool view would come
+        # back as a copy of it; __setstate__ builds them again
         return {k: v for k, v in self.__dict__.items()
-                if not isinstance(v, memoryview)}
+                if k != "_wmask" and not isinstance(v, memoryview)}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -303,7 +306,7 @@ class BlackWhiteArray:
             self._white[1] = value          # rank 0 is inactive: a free slot
             if self._wv[1] != value:
                 self._batch((value,))       # raises: the dtype changed value
-            self._wmask[1] = True
+            self._mask[1] = 1
             self._occ[0] = 1
             self._total = total + 1
             self.counters.moves += 1
@@ -405,9 +408,9 @@ class BlackWhiteArray:
             if wv[i] != value:              # then every slot from i on is > value
                 continue
             k = i
-            if not self._mv[k]:             # k is void: the first occupied
-                k = self._occupied(k, e)    # slot after it may still match
-                if k is None:
+            if not self._mask[k]:           # k is void: the first occupied
+                k = self._mask.find(1, k, e)  # slot after it may still match
+                if k < 0:
                     continue
                 cmp += 1
                 if wv[k] != value:
@@ -442,7 +445,7 @@ class BlackWhiteArray:
         if type(hi) is not int and type(hi) is not float:
             hi = _plain(hi)
         t = self._total
-        wv, mv, links = self._wv, self._mv, self._links
+        wv, mask, links = self._wv, self._mask, self._links
         window = self._LOOKAHEAD
         out = []
         cmp = i = 0
@@ -472,7 +475,7 @@ class BlackWhiteArray:
             if k == b < e:
                 k = bisect_right(wv, hi, b, e)
                 cmp += (e - b).bit_length()
-            out += compress(wv[i:k].tolist(), mv[i:k].tolist())
+            out += compress(wv[i:k].tolist(), mask[i:k])
         self.counters.comparisons += cmp
         out.sort()                          # merges the presorted runs
         return out
@@ -563,7 +566,7 @@ class BlackWhiteArray:
         """Resize to ``2**cap_exp`` white slots in one step."""
         n = (1 << cap_exp) - self._white.size
         self._white = np.concatenate([self._white, np.zeros(n, dtype=self.dtype)])
-        self._wmask = np.concatenate([self._wmask, np.zeros(n, dtype=bool)])
+        self._mask = self._mask + bytearray(n)  # numpy holds the old one
         self._black = np.concatenate([self._black, np.zeros(n >> 1, dtype=self.dtype)])
         self._occ += [0] * (cap_exp - self.cap_exp)
         self._links += [None] * (cap_exp - self.cap_exp)
@@ -572,9 +575,10 @@ class BlackWhiteArray:
         self._build_views()
 
     def _build_views(self) -> None:
-        """Slot views for the probe path and the scalar insert's check."""
-        self._wv, self._mv = self._white.data, self._wmask.data
-        self._bv = self._black.data
+        """Slot views for the probe path and the scalar insert's check, and
+        the mask as numpy's writable bool view of the same bytes."""
+        self._wv, self._bv = self._white.data, self._black.data
+        self._wmask = np.frombuffer(self._mask, dtype=bool)
 
     def _batch(self, values) -> np.ndarray:
         """``values`` as a 1-D array of the dtype.  Raises OverflowError for
@@ -611,19 +615,19 @@ class BlackWhiteArray:
         a = 1 << low
         occ = self._occ
         if a < s <= self._SMALL_MERGE:
-            wv, mv = self._wv, self._mv
+            wv, mask = self._wv, self._mask
             vals = new.tolist()
             if s == 2:                      # one value and rank 0's: no
                 x, y = vals[0], wv[1]       # void, and one comparison
                 wv[2], wv[3] = (x, y) if x <= y else (y, x)
-                mv[2] = mv[3] = True
+                mask[2] = mask[3] = 1
                 if chain:
                     self.counters.comparisons += 1
                 occ[0] = 0                  # the bookkeeping below, for
                 occ[1] = 2                  # the most frequent write
                 self._total = self._total & ~1 | 2
                 return
-            vals += compress(wv[a:s].tolist(), mv[a:s].tolist())
+            vals += compress(wv[a:s].tolist(), mask[a:s])
             if chain:
                 self.counters.comparisons += _chain_comparisons(
                     vals, [len(new), *occ[low:rank]])
@@ -631,10 +635,10 @@ class BlackWhiteArray:
             n = len(vals)
             for i, v in enumerate(vals, s):
                 wv[i] = v
-                mv[i] = True
+                mask[i] = 1
             for i in range(s + n, s << 1):  # the void tail
                 wv[i] = v
-                mv[i] = False
+                mask[i] = 0
         else:
             white, wmask = self._white, self._wmask
             if a == s:                      # new alone, a sorted run if chain
@@ -666,25 +670,20 @@ class BlackWhiteArray:
 
         Requires occupancy exactly half, so the survivors fill the lower
         segment completely.  If the lower rank already holds data, they are
-        staged in black scratch and written back into ``rank`` with it;
-        either way occupancy ends above 75%.
+        written back into ``rank`` with it; either way occupancy ends above 75%.
         """
         s = 1 << rank
-        half = s >> 1
-        ctr = self.counters
-        ctr.demotes += 1
-        ctr.moves += half
-        vals = self._white[s:s << 1][self._wmask[s:s << 1]]
-        if (self._total >> (rank - 1)) & 1:
-            self._black[half:s] = vals
-            self._write(rank, self._black[half:s], rank - 1, True)
-            ctr.merges += 1
-            ctr.moves += s
-        else:                               # rank - 1 is free: move there
+        vals = self._white[s:s << 1][self._wmask[s:s << 1]]  # a fresh array
+        taken = (self._total >> (rank - 1)) & 1
+        if not taken:                       # rank - 1 is free: move there
             self._occ[rank] = 0
             self._total -= s
             self._links[rank] = None        # a bridge needs an active rank
-            self._write(rank - 1, vals, rank - 1, True)
+        self._write(rank - 1 + taken, vals, rank - 1, True)
+        ctr = self.counters
+        ctr.demotes += 1
+        ctr.merges += taken                 # one merge into rank, if taken
+        ctr.moves += (s >> 1) + (s if taken else 0)
 
     def _bridge(self, rank: int) -> Optional[tuple]:
         """The bridge of ``rank`` as the raw slots define it, or None.
@@ -739,7 +738,7 @@ class BlackWhiteArray:
 
     def _delete_at(self, idx: int) -> None:
         rank = idx.bit_length() - 1
-        self._wmask[idx] = False
+        self._mask[idx] = 0
         self.counters.moves += 1
         occ = self._occ[rank] - 1
         self._occ[rank] = occ
@@ -747,27 +746,6 @@ class BlackWhiteArray:
             self._total -= 1          # sole slot voided: deactivate in place
         elif occ << 1 <= 1 << rank:
             self._demote(rank)
-
-    def _occupied(self, lo: int, hi: int, last: bool = False) -> Optional[int]:
-        """First (``last``: final) occupied slot in ``[lo, hi)``, or None.
-        Callers read the edge slot first: ``lo`` (``last``: ``hi - 1``) is
-        a void, so only a void run is scanned here."""
-        m = self._wmask
-        if last:
-            # a reversed bool argmax would copy the whole slice first; scan
-            # back in windows growing 8-fold, so the cost follows the void
-            # run's length rather than the range's
-            width = 64
-            while hi > lo:
-                start = max(lo, hi - width)
-                found = m[start:hi].nonzero()[0]
-                if found.size:
-                    return start + int(found[-1])
-                hi = start
-                width <<= 3
-            return None
-        k = int(m[lo:hi].argmax())
-        return lo + k if k else None
 
     def _value(self, idx: Optional[int]):
         return None if idx is None else self._wv[idx]
@@ -778,7 +756,7 @@ class BlackWhiteArray:
         largest stored value.  Ranks are walked highest first, so a tie
         goes to the later candidate: the lower rank."""
         t = self._total
-        wv, mv, links = self._wv, self._mv, self._links
+        wv, mask, links = self._wv, self._mask, self._links
         bounded = value is not self._NO_BOUND
         if bounded and type(value) is not int and type(value) is not float:
             value = _plain(value)
@@ -804,15 +782,19 @@ class BlackWhiteArray:
             if above:                       # first occupied slot > value
                 if i == e:
                     continue
-                k = i if mv[i] else self._occupied(i, e)
+                k = i
+                if not mask[k]:
+                    k = mask.find(1, i, e)
+                    if k < 0:
+                        continue
             else:                           # last occupied slot < value
                 k = i - 1
                 if k < s:
                     continue
-                if not mv[k]:
-                    k = self._occupied(s, i, last=True)
-            if k is None:
-                continue
+                if not mask[k]:
+                    k = mask.rfind(1, s, k)
+                    if k < 0:
+                        continue
             x = wv[k]
             if best is not None:
                 cmp += 1

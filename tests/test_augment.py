@@ -4,7 +4,7 @@ import pytest
 
 from bwa import BlackWhiteArray
 
-from conftest import EIGHT
+from conftest import EIGHT, Narrow
 
 
 def _after_demotion(demotion_ready_array):
@@ -72,16 +72,33 @@ class TestExtract:
         assert [bwa.extract_min() for _ in range(k)] == sorted(values)[:k]
         assert bwa.validate() == []
 
-    def test_k_largest_descending(self):
+    @pytest.mark.parametrize("cls", [BlackWhiteArray, Narrow])
+    @pytest.mark.parametrize("largest", [True, False],
+                             ids=["descending", "ascending"])
+    def test_k_largest_descending(self, cls, largest):
         rng = random.Random(18)
         values = [rng.randrange(5000) for _ in range(300)]
-        bwa = BlackWhiteArray(9, "fixed")
+        bwa = cls(9, "fixed")
         for v in values:
             bwa.insert(v)
-        k = 100  # leaves a void tail longer than one 64-slot scan window
-        assert [bwa.extract_max() for _ in range(k)] == sorted(values)[-k:][::-1]
-        rest = sorted(values)[:-k]
-        assert bwa.maximum() == bwa.upper_bound(10 ** 6) == rest[-1]
+        ordered = sorted(values)
+        s, t = bwa.seg_bounds(8)
+        k = 100  # leaves a void run of more than 64 slots at one end of rank 8
+        if largest:
+            assert [bwa.extract_max() for _ in range(k)] == ordered[-k:][::-1]
+            rest = ordered[:-k]
+            assert bwa.maximum() == bwa.upper_bound(10 ** 6) == rest[-1]
+            assert not bwa._wmask[t - 64:t + 1].any()
+        else:                               # the mirror: a void prefix
+            assert [bwa.extract_min() for _ in range(k)] == ordered[:k]
+            rest = ordered[k:]
+            assert bwa.minimum() == bwa.lower_bound(-1) == rest[0]
+            assert not bwa._wmask[s:s + 65].any()
+            assert bwa.extract_max() == rest.pop()
+        # the search lands on a void run that reaches the segment's end
+        assert bwa._white[t] == ordered[-1] and not bwa._wmask[t]
+        assert bwa.search(ordered[-1]) is None
+        assert list(bwa) == rest
         assert bwa.validate() == []
 
 

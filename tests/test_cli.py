@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +183,64 @@ class TestTrace:
         script.write_text(f"insert {value}\n")
         assert main(["trace", "--script", str(script)]) == 1
         assert capsys.readouterr().err.startswith("bwa trace: line 1: ")
+
+
+    def test_script_not_utf8_fails_cleanly(self, tmp_path, capsys):
+        script = tmp_path / "latin.txt"
+        script.write_bytes(b"\xff\xfe 1 2\n")
+        assert main(["trace", "--script", str(script)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"bwa trace: {script}: not UTF-8 text")
+        assert captured.err.count("\n") == 1
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["sort", "trace"])
+    def test_exits_one_with_stdout_on_devnull(self, command, tmp_path,
+                                              monkeypatch, capsys):
+        script = tmp_path / "t.txt"
+        script.write_text("insert 3\ninsert 1\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 1 2"))
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
+            argv = ["sort"] if command == "sort" else ["trace", "--script", str(script)]
+            assert main(argv) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+
+    def test_sort_into_pipe_closed_early(self, tmp_path):
+        import bwa
+        nums = tmp_path / "nums.txt"
+        nums.write_text(" ".join(map(str, range(300_000, 0, -1))))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bwa.__file__).resolve().parents[1]))
+        with open(nums) as stdin:
+            proc = subprocess.Popen([sys.executable, "-m", "bwa.cli", "sort"],
+                                    stdin=stdin, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, env=env)
+            assert proc.stdout.read(5) == b"1 2 3"
+            proc.stdout.close()             # far more output is still to come
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -292,6 +294,64 @@ class TestCapacity:
             grown.insert(v)
         assert grown.counters.grows > 0
         assert grown._white.size == 2 * grown._black.size
+
+
+def _voided():
+    bwa = BlackWhiteArray.from_values(list(range(40)))
+    for v in (3, 17, 30):
+        bwa.delete(v)
+    return bwa
+
+
+def _grown_by_insert():
+    bwa = BlackWhiteArray(2)
+    for v in (5, 3, 8, 1):
+        bwa.insert(v)
+    assert bwa.counters.grows == 1
+    return bwa
+
+
+def _grown_by_insert_many():
+    bwa = BlackWhiteArray(2)
+    bwa.insert_many([5, 3, 8, 1, 9, 2])
+    assert bwa.counters.grows == 1
+    return bwa
+
+
+class TestMask:
+    """The mask is stored once, as a bytearray that numpy sees as a bool
+    view; both must stay one mask through growth and copies."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: BlackWhiteArray(4),
+        _grown_by_insert,
+        _grown_by_insert_many,
+        lambda: copy.deepcopy(_voided()),
+        lambda: pickle.loads(pickle.dumps(_voided())),
+    ], ids=["constructed", "grown_by_insert", "grown_by_insert_many",
+            "deepcopy", "pickle"])
+    def test_view_and_bytes_are_one_mask(self, make):
+        bwa = make()
+        mask, view = bwa._mask, bwa._wmask
+        assert type(mask) is bytearray and view.dtype == bool
+        assert np.shares_memory(view, mask)
+        assert len(mask) == view.size == bwa.capacity
+        for i in (0, bwa.capacity - 1):
+            was = mask[i]
+            mask[i] = 1 - was
+            assert view[i] == (not was)
+            view[i] = was
+            assert mask[i] == was
+        assert bwa.validate() == []
+
+    def test_copies_keep_the_voids(self):
+        for clone in (copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))):
+            bwa = _voided()
+            dup = clone(bwa)
+            assert dup._mask == bwa._mask and dup._mask is not bwa._mask
+            assert dup.delete(20) == bwa.delete(20)
+            assert dup._mask == bwa._mask
+            assert dup.validate() == []
 
 
 class TestValidate:
