@@ -148,24 +148,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_ints(tokens: list[str], dtype: np.dtype) -> np.ndarray:
+    """``tokens`` parsed by ``int()`` straight into an array of ``dtype``.
+    Raises ValueError for the first token ``int()`` rejects, even one after
+    a value out of range, and else OverflowError naming the first value
+    out of range."""
+    try:
+        return np.fromiter(map(int, tokens), dtype=dtype, count=len(tokens))
+    except OverflowError:
+        pass                                # the tokens after it are unread
+    values = list(map(int, tokens))         # raises for a bad token anywhere
+    info = np.iinfo(dtype)
+    v = next(v for v in values if not info.min <= v <= info.max)
+    raise OverflowError(f"{v} does not fit in {dtype}")
+
+
 def _cmd_sort(args: argparse.Namespace) -> int:
     tokens = sys.stdin.read().split()
-    try:
-        values = list(map(int, tokens))
-    except ValueError as exc:
-        print(f"bwa sort: {exc}", file=sys.stderr)
-        return 1
     bwa = BlackWhiteArray(10)
     try:
-        batch = np.array(values, dtype=bwa.dtype)
-    except OverflowError:
-        info = np.iinfo(bwa.dtype)
-        v = next(v for v in values if not info.min <= v <= info.max)
-        print(f"bwa sort: {v} does not fit in {bwa.dtype}", file=sys.stderr)
+        batch = _parse_ints(tokens, bwa.dtype)
+    except (ValueError, OverflowError) as exc:
+        print(f"bwa sort: {exc}", file=sys.stderr)
         return 1
     bwa.insert_many(batch)
+    values = tuple(bwa.iter_sorted())
     out = sys.stdout
-    out.write(" ".join(map(str, bwa.iter_sorted())))
+    out.write(("%d " * len(values))[:-1] % values)
+    # the newline is a write of its own: CPython reports a large write that
+    # a closed pipe cut short as a success, so only this one raises
+    # BrokenPipeError
     out.write("\n")
     return 0
 

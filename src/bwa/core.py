@@ -303,17 +303,14 @@ class BlackWhiteArray:
             self._batch((value,))           # fail before growing, not after
             self._grow(self.cap_exp + 1)
         if total & 1 == 0:
-            self._white[1] = value          # rank 0 is inactive: a free slot
-            if self._wv[1] != value:
-                self._batch((value,))       # raises: the dtype changed value
+            # rank 0 is inactive: a free slot
+            self._put(self._white, self._wv, value)
             self._mask[1] = 1
             self._occ[0] = 1
             self._total = total + 1
             self.counters.moves += 1
         else:
-            self._black[1] = value
-            if self._bv[1] != value:
-                self._batch((value,))       # raises: the dtype changed value
+            self._put(self._black, self._bv, value)
             # the carry of total + 1: the value and ranks 0 .. top - 1 into top
             top = ((total + 1) & ~total).bit_length() - 1
             self._write(top, self._bv[1:2], 0, True)
@@ -580,6 +577,20 @@ class BlackWhiteArray:
         self._wv, self._bv = self._white.data, self._black.data
         self._wmask = np.frombuffer(self._mask, dtype=bool)
 
+    def _put(self, arr: np.ndarray, view: memoryview, value) -> None:
+        """Store ``value`` in slot 1 of ``arr`` (``view`` is its memoryview),
+        or raise as ``insert_many`` would.  Through the memoryview a float
+        beyond a float dtype's range lands as inf, with no numpy warning;
+        numpy stores what the memoryview refuses (``7.0`` on an integer
+        dtype), its warnings silenced, since the exact check decides."""
+        try:
+            view[1] = value
+        except (TypeError, ValueError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                arr[1] = value
+        if view[1] != value:
+            self._batch((value,))           # raises: the dtype changed value
+
     def _batch(self, values) -> np.ndarray:
         """``values`` as a 1-D array of the dtype.  Raises OverflowError for
         an integer outside an integer dtype's range and ValueError for any
@@ -588,7 +599,7 @@ class BlackWhiteArray:
         if isinstance(values, np.ndarray) and values.dtype == self.dtype:
             batch, given = values, None
         else:
-            with np.errstate(invalid="ignore"):     # checked exactly below
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 batch = np.asarray(values, dtype=self.dtype)
             # numpy integers as Python ints: numpy would compare them rounded
             given = (values.tolist() if isinstance(values, np.ndarray) else

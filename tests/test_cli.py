@@ -136,6 +136,21 @@ class TestSort:
         assert capsys.readouterr().out == \
             "-9223372036854775808 0 9223372036854775807\n"
 
+    def test_tokens_parse_as_int_does(self, monkeypatch, capsys):
+        # signs, digit separators, Unicode whitespace and Unicode digits
+        monkeypatch.setattr("sys.stdin", io.StringIO("+5\t1_000\n-0 \u0661\u0662"))
+        assert main(["sort"]) == 0
+        assert capsys.readouterr().out == "0 5 12 1000\n"
+
+    def test_bad_token_named_before_value_outside_int64(self, monkeypatch,
+                                                        capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("12 99999999999999999999 x"))
+        assert main(["sort"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("bwa sort: invalid literal for int() with base 10: "
+                       "'x'\n")
+
 
 class TestTrace:
     def test_cascade_golden(self, tmp_path, capsys):

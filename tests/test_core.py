@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -687,6 +688,35 @@ class TestBoundaryCheck:
         bwa.insert_many([exact])
         assert list(bwa) == list(range(n)) + [int(exact)] * 2
         assert bwa.search(int(exact)) is not None and bwa.validate() == []
+
+    @pytest.mark.parametrize("dtype, value", [
+        (np.float32, 1e39), (np.float32, -1e39), (np.float32, np.float64(1e39)),
+        (np.uint64, np.float64(1e39))])
+    @pytest.mark.parametrize("n", [2, 3, 7])   # rank 0 free, a carry, a grow
+    def test_value_beyond_dtype_range_raises_without_warning(self, dtype, value, n):
+        bwa = BlackWhiteArray(3, dtype=dtype)
+        for v in range(n):
+            bwa.insert(v)
+        before = (bwa.cap_exp, bwa.total, bwa.dump(), list(bwa))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for insert in (bwa.insert, lambda v: bwa.insert_many([1.0, v])):
+                with pytest.raises(ValueError):
+                    insert(value)
+                assert bwa.validate() == []
+                assert (bwa.cap_exp, bwa.total, bwa.dump(), list(bwa)) == before
+
+    @pytest.mark.parametrize("value", [7.0, np.float64(8.0)])
+    @pytest.mark.parametrize("n", [2, 3])      # rank 0 free, or a carry chain
+    def test_integral_float_scalar_into_integer_dtype(self, value, n):
+        bwa = BlackWhiteArray(3)
+        for v in range(n):
+            bwa.insert(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bwa.insert(value)
+        assert list(bwa) == sorted(list(range(n)) + [int(value)])
+        assert bwa.validate() == []
 
     def test_batch_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
