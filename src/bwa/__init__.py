@@ -1,4 +1,4 @@
-"""Ordered dynamic multiset on a two-array segmented layout.
+"""Ordered dynamic multiset on one segmented slot array and a byte mask.
 
 Exports the structure itself, the reference-model verification harness, and
 the benchmark machinery; the ``bwa`` console script wraps all three.

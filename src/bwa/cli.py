@@ -22,7 +22,7 @@ from .oracle import run_equivalence
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bwa",
-        description="Segmented two-array ordered multiset: benchmarks, "
+        description="Segmented-array ordered multiset: benchmarks, "
                     "model-based verification, op-script tracing, sorting.")
     sub = parser.add_subparsers(dest="command", required=True)
 

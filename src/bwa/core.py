@@ -1,19 +1,21 @@
-"""Black-white array: an ordered dynamic multiset backed by two flat arrays.
+"""Black-white array: an ordered dynamic multiset in one flat slot array.
 
-The structure keeps a *white* array of ``2**cap_exp`` slots and a *black*
-scratch array of half that length.  Both are cut into segments: the segment
-of rank ``i`` spans indices ``[2**i, 2**(i+1) - 1]`` and holds ``2**i``
-slots (index 0 of either array is never used).  All live data sits in white
-segments; the state variable ``total`` counts the slots of those segments,
-and its binary form is the whole configuration: rank ``i`` is active exactly
-when bit ``i`` of ``total`` is set.
+The structure keeps a *white* array of ``2**cap_exp`` slots and a byte mask
+of the same length.  The array is cut into segments: the segment of rank
+``i`` spans indices ``[2**i, 2**(i+1) - 1]`` and holds ``2**i`` slots
+(index 0 is never used).  The state variable ``total`` counts the slots of
+the segments holding live data, and its binary form is the whole
+configuration: rank ``i`` is active exactly when bit ``i`` of ``total`` is
+set.  The paper's *black* array, the scratch of its pairwise merge chain,
+is not needed: every write sorts inside its destination segment.
 
 Inserting therefore behaves like incrementing a binary counter.  A new value
-lands in the rank-0 slot when that bit is clear; otherwise it waits in the
-black scratch slot while one write sorts it with the occupied slots of every
-rank the carry clears into the first inactive rank.  Inserting a batch
-(``insert_many``) adds its size to the counter, with one such write per
-power-of-two block.  Deletion voids a slot in place; when a segment's
+goes to the first slot of the rank that ``total + 1`` sets, which is free
+because that rank is inactive: the rank-0 slot when that bit is clear, else
+the first slot of the carry's destination, where it waits while one write
+sorts it with the occupied slots of every rank the carry clears.  Inserting
+a batch (``insert_many``) adds its size to the counter, with one such write
+per power-of-two block.  Deletion voids a slot in place; when a segment's
 occupancy falls to half, its survivors move one rank down, or, when that
 rank is taken, are written back up with it, which keeps every active
 segment strictly more than half full.
@@ -27,7 +29,7 @@ the active segments highest rank first, and a *bridge* from each segment of
 more than ``_BRIDGED`` slots to the next higher active one (the lookahead
 pointers of the cache-oblivious lookahead array, a form of fractional
 cascading) bounds its bisection to a window of about ``_LOOKAHEAD`` slots.
-Probes read single slots through ``memoryview``s of the arrays, as plain
+Probes read single slots through a ``memoryview`` of the slots, as plain
 Python scalars compared exactly with a probe of any numeric type; numpy
 works whole ranges (writes, drains, bridges), reading the mask as a bool
 array over the same bytes.
@@ -166,7 +168,7 @@ def _plain(value):
 class BlackWhiteArray:
     """Ordered multiset over numeric values with amortized-logarithmic ops.
 
-    Slots live in numpy arrays; a byte mask (a ``bytearray`` that numpy
+    Slots live in one numpy array; a byte mask (a ``bytearray`` that numpy
     sees as a bool array) marks which slots hold a value, so voids never
     occupy a value of the element domain.  Values must be totally ordered
     under the dtype: ``int64`` by default, or any native bool, integer,
@@ -194,7 +196,6 @@ class BlackWhiteArray:
         n = 1 << cap_exp
         self._white = np.zeros(n, dtype=self.dtype)
         self._mask = bytearray(n)           # 1 per occupied slot
-        self._black = np.zeros(n >> 1, dtype=self.dtype)
         self._build_views()
         self._occ = [0] * cap_exp       # occupied-slot count per white rank
         self._links = [None] * cap_exp  # bridge per white rank, see _bridge
@@ -302,18 +303,17 @@ class BlackWhiteArray:
                     "structure are in use")
             self._batch((value,))           # fail before growing, not after
             self._grow(self.cap_exp + 1)
-        if total & 1 == 0:
-            # rank 0 is inactive: a free slot
-            self._put(self._white, self._wv, value)
+        s = (total + 1) & ~total            # the first slot of the rank that
+        self._put(s, value)                 # total + 1 sets: inactive, so free
+        if s == 1:
             self._mask[1] = 1
             self._occ[0] = 1
             self._total = total + 1
             self.counters.moves += 1
         else:
-            self._put(self._black, self._bv, value)
             # the carry of total + 1: the value and ranks 0 .. top - 1 into top
-            top = ((total + 1) & ~total).bit_length() - 1
-            self._write(top, self._bv[1:2], 0, True)
+            top = s.bit_length() - 1
+            self._write(top, self._wv[s:s + 1], 0, True)
             ctr = self.counters             # the pairwise chain's charge: a
             ctr.merges += top               # merge and a segment per rank,
             ctr.moves += (2 << top) - 1     # and the value's slot
@@ -503,10 +503,10 @@ class BlackWhiteArray:
         """
         problems = []
         cap = 1 << self.cap_exp
-        if self._white.size != cap or self._black.size != cap >> 1:
+        if not self._white.size == len(self._mask) == cap:
             problems.append(
-                f"array shapes ({self._white.size}, {self._black.size}) do not "
-                f"match capacity 2**{self.cap_exp} with black half of white")
+                f"slot and mask lengths ({self._white.size}, "
+                f"{len(self._mask)}) do not match capacity 2**{self.cap_exp}")
         if not 0 <= self._total < cap:
             problems.append(f"total {self._total} outside [0, {cap - 1}]")
         if len(self._occ) != self.cap_exp:
@@ -548,13 +548,10 @@ class BlackWhiteArray:
         ``rank=<r> [v,...]`` with ``·`` marking void slots."""
         lines = []
         for rank in range(self.cap_exp - 1, -1, -1):
-            if not (self._total >> rank) & 1:
-                continue
-            s = 1 << rank
-            vals = self._white[s:s << 1].tolist()
-            mask = self._wmask[s:s << 1].tolist()
-            cells = ",".join(str(v) if o else "·" for v, o in zip(vals, mask))
-            lines.append(f"rank={rank} [{cells}]")
+            if (self._total >> rank) & 1:
+                cells = ",".join("·" if v is None else str(v)
+                                 for v in self.segment_slots(rank))
+                lines.append(f"rank={rank} [{cells}]")
         return "\n".join(lines)
 
     # -- internals ----------------------------------------------------------
@@ -564,7 +561,6 @@ class BlackWhiteArray:
         n = (1 << cap_exp) - self._white.size
         self._white = np.concatenate([self._white, np.zeros(n, dtype=self.dtype)])
         self._mask = self._mask + bytearray(n)  # numpy holds the old one
-        self._black = np.concatenate([self._black, np.zeros(n >> 1, dtype=self.dtype)])
         self._occ += [0] * (cap_exp - self.cap_exp)
         self._links += [None] * (cap_exp - self.cap_exp)
         self.counters.grows += cap_exp - self.cap_exp
@@ -572,23 +568,24 @@ class BlackWhiteArray:
         self._build_views()
 
     def _build_views(self) -> None:
-        """Slot views for the probe path and the scalar insert's check, and
-        the mask as numpy's writable bool view of the same bytes."""
-        self._wv, self._bv = self._white.data, self._black.data
+        """The slot view for the probe path and the scalar insert's check,
+        and the mask as numpy's writable bool view of the same bytes."""
+        self._wv = self._white.data
         self._wmask = np.frombuffer(self._mask, dtype=bool)
 
-    def _put(self, arr: np.ndarray, view: memoryview, value) -> None:
-        """Store ``value`` in slot 1 of ``arr`` (``view`` is its memoryview),
-        or raise as ``insert_many`` would.  Through the memoryview a float
-        beyond a float dtype's range lands as inf, with no numpy warning;
-        numpy stores what the memoryview refuses (``7.0`` on an integer
-        dtype), its warnings silenced, since the exact check decides."""
+    def _put(self, i: int, value) -> None:
+        """Store ``value`` in white slot ``i``, or raise as ``insert_many``
+        would.  Through the memoryview a float beyond a float dtype's range
+        lands as inf, with no numpy warning; numpy stores what the
+        memoryview refuses (``7.0`` on an integer dtype), its warnings
+        silenced, since the exact check decides."""
+        wv = self._wv
         try:
-            view[1] = value
+            wv[i] = value
         except (TypeError, ValueError):
             with np.errstate(over="ignore", invalid="ignore"):
-                arr[1] = value
-        if view[1] != value:
+                self._white[i] = value
+        if wv[i] != value:
             self._batch((value,))           # raises: the dtype changed value
 
     def _batch(self, values) -> np.ndarray:
@@ -621,6 +618,8 @@ class BlackWhiteArray:
         laid back to back there and sorted, the void tail padded with the
         largest value.  With ``chain``, ``new`` is sorted (alone, it is just
         copied) and the runs' pairwise merges, lowest first, are charged.
+        ``new`` may be the destination's first slot (the scalar carry's
+        value): every branch reads it before writing the segment.
         Records occupancy, ``total`` and bridges after the slots."""
         s = 1 << rank
         a = 1 << low

@@ -20,6 +20,8 @@ KINDS = ("insert", "search", "delete", "extract_min", "extract_max",
 
 DEFAULT_MIX = {"insert": 0.5, "search": 0.25, "delete": 0.25}
 
+DRAIN_EVERY = 4096  # steps between full drains in run_equivalence
+
 
 @dataclass(frozen=True)
 class OpRecord:
@@ -152,7 +154,6 @@ class Divergence:
 
 def run_equivalence(seed: int, n: int, mix: Optional[dict[str, float]] = None,
                     hit_ratio: float = 0.5, cap_exp: int = 16,
-                    drain_every: int = 4096,
                     factory: Callable[[int], BlackWhiteArray] = BlackWhiteArray,
                     ) -> Optional[Divergence]:
     """Replay one generated sequence against the array and the model.
@@ -162,7 +163,7 @@ def run_equivalence(seed: int, n: int, mix: Optional[dict[str, float]] = None,
     every step, so an invariant breach counts as a divergence even when the
     outputs still agree.  Hit/miss equality plus size equality makes the two
     multisets equal by induction; full drains are compared every
-    ``drain_every`` steps and at the end as a backstop.  Returns None for a
+    ``DRAIN_EVERY`` steps and at the end as a backstop.  Returns None for a
     clean run, else the first divergence.
 
     ``factory`` builds the structure under test from a capacity exponent;
@@ -204,7 +205,7 @@ def run_equivalence(seed: int, n: int, mix: Optional[dict[str, float]] = None,
         violations = bwa.validate()
         if violations:
             return Divergence(step, op, "no invariant violations", violations)
-        if drain_every and (step + 1) % drain_every == 0:
+        if (step + 1) % DRAIN_EVERY == 0:
             if list(bwa) != model.values:
                 return Divergence(step, op, "drain equal to model contents",
                                   "drain differs")

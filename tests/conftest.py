@@ -1,6 +1,17 @@
+import numpy as np
 import pytest
 
 from bwa import BlackWhiteArray
+
+
+def owned_bytes(bwa) -> int:
+    """Bytes of the buffers ``bwa`` owns: its ndarrays that view no other
+    buffer, and its bytearrays."""
+    return sum(len(v) if isinstance(v, bytearray) else v.nbytes
+               for v in vars(bwa).values()
+               if isinstance(v, bytearray)
+               or isinstance(v, np.ndarray) and v.base is None)
+
 
 class Narrow(BlackWhiteArray):
     """Bridges on small structures: one entry per 2 slots of a lower

@@ -4,6 +4,8 @@
 straightforward form of the binary-counter insert: the carried value is
 merged with rank 0 into black scratch, the result with rank 1, and so on,
 and the last merge lands in the white segment of the first clear rank.
+It keeps the paper's layout: a black scratch array of half the white
+array's slots, which the real class does without.
 Every merge is charged ``merge_comparisons`` of its two runs, and a demotion
 onto an active rank is one more such merge.  ``insert_many`` sorts each of
 its blocks once.  The tests check that the one-write carry of the real
@@ -17,6 +19,15 @@ from bwa import (BlackWhiteArray, CapacityExceeded, GrowthPolicy,
 
 
 class PairwiseChain(BlackWhiteArray):
+
+    def __init__(self, cap_exp: int, *args, **kwargs) -> None:
+        super().__init__(cap_exp, *args, **kwargs)
+        self._black = np.zeros(1 << (cap_exp - 1), dtype=self.dtype)
+
+    def _grow(self, cap_exp: int) -> None:
+        n = (1 << (cap_exp - 1)) - self._black.size
+        self._black = np.concatenate([self._black, np.zeros(n, self.dtype)])
+        super()._grow(cap_exp)
 
     def insert(self, value) -> None:
         if type(value) is not int and isinstance(value, np.integer):
@@ -36,7 +47,7 @@ class PairwiseChain(BlackWhiteArray):
             self._total = total + 1
         else:
             self._black[1] = value
-            if self._bv[1] != value:
+            if self._black.data[1] != value:
                 self._batch((value,))
             rank = 0
             bits = total >> 1

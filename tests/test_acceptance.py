@@ -15,6 +15,8 @@ from bwa import BenchConfig, BlackWhiteArray, generate_ops, run_equivalence
 from bwa.bench import run_insert_bench, run_probe_bench
 from bwa.cli import main
 
+from conftest import owned_bytes
+
 SEED = 20260810
 
 
@@ -200,16 +202,22 @@ def test_bench_scaling_trend():
 
 
 def test_space_ratio():
-    for cap_exp in range(1, 15):
-        bwa = BlackWhiteArray(cap_exp)
-        assert bwa._white.size == 2 * bwa._black.size
+    # one slot array and one mask byte per slot; the paper's layout adds a
+    # black scratch array of half the slots
+    for dtype in ("int64", "float32", "uint8"):
+        for cap_exp in range(1, 15):
+            bwa = BlackWhiteArray(cap_exp, dtype=dtype)
+            assert owned_bytes(bwa) == bwa.capacity * (bwa.dtype.itemsize + 1)
     grown = BlackWhiteArray(2, "grow")
     for v in range(500):
         grown.insert(v)
-        assert grown._white.size == 2 * grown._black.size
+        assert owned_bytes(grown) == grown.capacity * (8 + 1)
     assert grown.counters.grows > 0
-    _report("space-ratio", "white:black slots 2:1 at every capacity, "
-                           f"including {grown.counters.grows} growth steps")
+    _report("space-ratio", f"{owned_bytes(grown)} bytes for "
+                           f"{grown.capacity} int64 slots (paper layout "
+                           f"{grown.capacity * (1.5 * 8 + 1):.0f}), exact at "
+                           f"every capacity and after each of "
+                           f"{grown.counters.grows} growth steps")
 
 
 def test_sort_tool_million(monkeypatch, capsys):

@@ -9,14 +9,14 @@ import pytest
 from bwa import (BlackWhiteArray, CapacityExceeded, GrowthPolicy, core,
                  merge_comparisons)
 
-from conftest import EIGHT, Narrow
+from conftest import EIGHT, Narrow, owned_bytes
 
 
 class TestConstruction:
     def test_shapes(self):
         bwa = BlackWhiteArray(4, "fixed")
         assert bwa._white.size == 16
-        assert bwa._black.size == 8
+        assert len(bwa._mask) == 16
         assert bwa.total == 0
         assert bwa.capacity == 16
         assert bwa.occupancy == (0, 0, 0, 0)
@@ -24,7 +24,7 @@ class TestConstruction:
     def test_smallest_legal(self):
         bwa = BlackWhiteArray(1, "fixed")
         assert bwa._white.size == 2
-        assert bwa._black.size == 1  # no usable scratch segment
+        assert len(bwa._mask) == 2
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -194,12 +194,12 @@ class TestWriteUnit:
             [6, 52, 67, 83], [21, 77, 91])
 
     def test_single_slot_sources(self, bwa):
-        bwa._black[1] = 52
-        bwa._white[1] = 45
+        bwa._white[2] = 52                  # staged in the destination's
+        bwa._white[1] = 45                  # first slot, as insert does
         bwa._wmask[1] = True
         bwa._occ[0] = 1
         bwa._total = 1
-        bwa._write(1, bwa._black[1:2], 0, True)
+        bwa._write(1, bwa._wv[2:3], 0, True)
         assert bwa._white[2:4].tolist() == [45, 52]
         assert bwa._wmask[2:4].tolist() == [True, True]
         assert bwa.occupancy == (0, 2, 0, 0, 0) and bwa.total == 2
@@ -287,14 +287,15 @@ class TestCapacity:
         assert list(bwa) == snapshot
 
     def test_space_ratio_two_to_one(self):
+        # the slots and one mask byte each; no black scratch array
         for cap_exp in range(1, 13):
             bwa = BlackWhiteArray(cap_exp)
-            assert bwa._white.size == 2 * bwa._black.size
+            assert owned_bytes(bwa) == bwa.capacity * 9
         grown = BlackWhiteArray(3, "grow")
         for v in range(20):
             grown.insert(v)
+            assert owned_bytes(grown) == grown.capacity * 9
         assert grown.counters.grows > 0
-        assert grown._white.size == 2 * grown._black.size
 
 
 def _voided():
@@ -377,6 +378,12 @@ class TestValidate:
         eight_value_array._total += 1
         problems = eight_value_array.validate()
         assert any("mismatch" in p for p in problems)
+
+    def test_mask_length_mismatch_reported(self):
+        bwa = BlackWhiteArray(4)
+        bwa._mask = bytearray(17)
+        assert bwa.validate() == [
+            "slot and mask lengths (16, 17) do not match capacity 2**4"]
 
     def test_corrupt_occupancy_count_reported(self, eight_value_array):
         eight_value_array._occ[3] -= 1
@@ -487,7 +494,7 @@ def _state(bwa):
     """Everything a failed insert_many must leave alone."""
     c = bwa.counters
     return (bwa.total, bwa.occupancy, bwa.cap_exp, bwa._white.tolist(),
-            bwa._wmask.tolist(), bwa._black.tolist(),
+            bwa._wmask.tolist(),
             (c.comparisons, c.moves, c.merges, c.demotes, c.grows))
 
 
@@ -569,7 +576,7 @@ class TestInsertMany:
         bwa.insert_many(range(100))             # total 101 needs 2**7 slots
         assert sizes == [7]
         assert bwa.cap_exp == 7 and bwa.counters.grows == 6
-        assert bwa._white.size == 128 and bwa._black.size == 64
+        assert bwa._white.size == 128 and len(bwa._mask) == 128
         assert list(bwa) == sorted([7, *range(100)])
         assert bwa.validate() == []
 
@@ -648,15 +655,23 @@ class TestBoundaryCheck:
         for v in (1, 0, 1)[:n]:
             bwa.insert(v)
         c = bwa.counters
-        before = (bwa.total, bwa.occupancy, bwa.dump(), list(bwa),
-                  (c.comparisons, c.moves, c.merges, c.demotes, c.grows))
+
+        def state():
+            # the raw slots of every active rank, void values included, and
+            # the whole mask: a rejection may change only the free slot of
+            # an inactive rank that the value was staged in
+            active = [r for r in range(bwa.cap_exp) if bwa.is_active(r)]
+            return (bwa.total, bwa.occupancy, bwa.dump(), list(bwa),
+                    [bwa._white[1 << r:2 << r].tolist() for r in active],
+                    bytes(bwa._mask),
+                    (c.comparisons, c.moves, c.merges, c.demotes, c.grows))
+        before = state()
         with pytest.raises(error) as scalar:
             bwa.insert(value)
         with pytest.raises(error) as batch:
             bwa.insert_many([value])
         assert str(scalar.value) == str(batch.value)
-        assert (bwa.total, bwa.occupancy, bwa.dump(), list(bwa),
-                (c.comparisons, c.moves, c.merges, c.demotes, c.grows)) == before
+        assert state() == before
         assert bwa.validate() == [] and bwa.search(value) is None
         bwa.insert(1)
         assert list(bwa) == sorted((1, 0, 1)[:n] + (1,))
@@ -672,9 +687,9 @@ class TestBoundaryCheck:
             bwa.insert(v)
         c = bwa.counters
 
-        def state():                # a failed scalar insert may leave a
+        def state():                # a failed scalar insert may leave
             return (bwa.cap_exp, bwa.total, bwa.occupancy, bwa.dump(),
-                    list(bwa),      # free slot or scratch written
+                    list(bwa),      # its free staging slot written
                     (c.comparisons, c.moves, c.merges, c.demotes, c.grows))
 
         before = state()

@@ -183,7 +183,7 @@ class TestViews:
         bwa.insert(40)                          # grows; all four in rank 2
         assert bwa.cap_exp == 3 and bwa.occupancy == (0, 0, 4)
         bwa.insert(25)                          # rank 0 slot of the new arrays
-        bwa.insert(35)                          # black scratch of the new arrays
+        bwa.insert(35)                          # staged in slot 2 of the new arrays
         assert list(bwa) == [10, 20, 25, 30, 35, 40] and bwa.validate() == []
         assert bwa.delete(25) is not None and bwa.delete(35) is not None
         for v in (10, 20, 30, 40):

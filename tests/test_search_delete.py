@@ -108,8 +108,8 @@ class TestDelete:
         assert bwa.stats().occupancy[0] == 1.0
 
     def test_demotion_into_active_rank_merges_back(self):
-        # ranks 1 and 0 both active; deleting from rank 1 demotes into
-        # scratch and merges straight back into rank 1
+        # ranks 1 and 0 both active; deleting from rank 1 writes its
+        # survivor straight back into rank 1 together with rank 0
         bwa = BlackWhiteArray(4, "fixed")
         for v in (9, 5, 7):
             bwa.insert(v)

@@ -261,7 +261,7 @@ class Float32QuerySurface(FloatQuerySurface):
 
 def _snapshot(bwa):
     """Slots, counts and bridges, to compare a state with a later one."""
-    return (bwa._white.tolist(), bwa._wmask.tolist(), bwa._black.tolist(),
+    return (bwa._white.tolist(), bwa._wmask.tolist(),
             bwa.total, bwa.occupancy, bwa.cap_exp, copy.deepcopy(bwa._links))
 
 
