@@ -7,7 +7,7 @@ the benchmark machinery; the ``bwa`` console script wraps all three.
 from .bench import (BenchConfig, BenchRow, read_csv, run_bench,
                     run_insert_bench, run_probe_bench, write_csv)
 from .core import (BlackWhiteArray, CapacityExceeded, Counters, GrowthPolicy,
-                   Stats, merge_comparisons)
+                   Stats)
 from .oracle import (DEFAULT_MIX, Divergence, OpRecord, ReferenceModel,
                      generate_ops, run_equivalence)
 
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchConfig", "BenchRow", "BlackWhiteArray", "CapacityExceeded",
     "Counters", "DEFAULT_MIX", "Divergence", "GrowthPolicy", "OpRecord",
-    "ReferenceModel", "Stats", "generate_ops", "merge_comparisons",
-    "read_csv", "run_bench", "run_equivalence", "run_insert_bench",
-    "run_probe_bench", "write_csv",
+    "ReferenceModel", "Stats", "generate_ops", "read_csv", "run_bench",
+    "run_equivalence", "run_insert_bench", "run_probe_bench", "write_csv",
 ]

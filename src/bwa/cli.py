@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -163,11 +164,52 @@ def _parse_ints(tokens: list[str], dtype: np.dtype) -> np.ndarray:
     raise OverflowError(f"{v} does not fit in {dtype}")
 
 
+_INT64 = np.iinfo(np.int64)
+_WHITESPACE = np.frombuffer(b" \t\n\v\f\r", np.uint8)   # numpy's separators
+# a token int() rejects for its length has more than 640 digits (the least
+# limit int() can be given); if int64 holds it, 19 or fewer are significant
+_LONG_ZEROS = "0" * 622
+
+
+def _signs_lead_digits(text: str) -> bool:
+    """Whether every ``+`` and ``-`` of ASCII ``text`` begins a token (at
+    the start or after whitespace) and is followed by an ASCII digit."""
+    b = np.frombuffer(f" {text} ".encode("ascii"), np.uint8)
+    at = np.flatnonzero((b == 43) | (b == 45))
+    return bool(((b[at + 1] - 48) < 10).all()            # uint8: wraps
+                and np.isin(b[at - 1], _WHITESPACE).all())
+
+
+def _read_ints(text: str) -> np.ndarray:
+    """What ``_parse_ints(text.split(), int64)`` returns, or the exception
+    it raises.  numpy's C text parser reads ``text`` when a certificate
+    proves that it agrees.  It does not agree on blank text (read as
+    ``[0]``), a sign not followed by a digit (``"1 - 2"`` reads ``[1,
+    -2]``), a token out of range (clamped to an extreme), or a token with
+    more digits than ``int()`` accepts (read for its value)."""
+    if (text and text.isascii() and not text.isspace()
+            and _LONG_ZEROS not in text and _signs_lead_digits(text)):
+        try:
+            with warnings.catch_warnings():
+                # older numpy warns, not raises, at an unparsed character
+                warnings.simplefilter("error", DeprecationWarning)
+                batch = np.fromstring(text, np.int64, sep=" ")
+            if _INT64.min < batch.min() and batch.max() < _INT64.max:
+                return batch
+        except (ValueError, DeprecationWarning):
+            pass
+    return _parse_ints(text.split(), np.dtype(np.int64))
+
+
 def _cmd_sort(args: argparse.Namespace) -> int:
-    tokens = sys.stdin.read().split()
+    try:
+        text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        print(f"bwa sort: stdin is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
     bwa = BlackWhiteArray(10)
     try:
-        batch = _parse_ints(tokens, bwa.dtype)
+        batch = _read_ints(text)
     except (ValueError, OverflowError) as exc:
         print(f"bwa sort: {exc}", file=sys.stderr)
         return 1

@@ -114,28 +114,13 @@ class Stats:
     capacity: int
 
 
-def merge_comparisons(b, w) -> int:
-    """Element comparisons a two-pointer merge of sorted runs performs.
-
-    Ties are drawn from ``b`` first.  Every emitted element costs one
-    comparison until one run is exhausted; the surviving tail is copied for
-    free, so the count is ``len(b) + len(w)`` minus that tail.
-    """
-    nb, nw = len(b), len(w)
-    if nb == 0 or nw == 0:
-        return 0
-    if b[-1] <= w[-1]:
-        tail = nw - bisect_left(w, b[-1])
-    else:
-        tail = nb - bisect_right(b, w[-1])
-    return nb + nw - tail
-
-
 def _chain_comparisons(runs, counts, start=0) -> int:
-    """Comparisons of merging sorted runs pairwise, each merge charged as
-    ``merge_comparisons`` charges it: the first run with the second, the
-    result with the third, and so on.  The runs lie back to back in ``runs``
-    from ``start``, none empty, with the lengths ``counts``.  With ``C`` the
+    """Comparisons of merging sorted runs pairwise, each merge charged what
+    a two-pointer merge compares (ties drawn from the runs merged so far,
+    the tail left when one run is exhausted copied for free): the first run
+    with the second, the result with the third, and so on.  The runs lie
+    back to back in ``runs`` from ``start``, none empty, with the lengths
+    ``counts``.  With ``C`` the
     runs merged so far and ``W`` the next, a merge costs ``|C| +
     bisect_left(W, max C)`` when ``max C <= max W``, else ``|W| + #(C <=
     max W)``, which bisects only the runs of ``C`` ending above ``max W``."""

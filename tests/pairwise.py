@@ -12,10 +12,28 @@ its blocks once.  The tests check that the one-write carry of the real
 class leaves the same slots, bridges and counters.
 """
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
-from bwa import (BlackWhiteArray, CapacityExceeded, GrowthPolicy,
-                 merge_comparisons)
+from bwa import BlackWhiteArray, CapacityExceeded, GrowthPolicy
+
+
+def merge_comparisons(b, w) -> int:
+    """Element comparisons a two-pointer merge of sorted runs performs.
+
+    Ties are drawn from ``b`` first.  Every emitted element costs one
+    comparison until one run is exhausted; the surviving tail is copied for
+    free, so the count is ``len(b) + len(w)`` minus that tail.
+    """
+    nb, nw = len(b), len(w)
+    if nb == 0 or nw == 0:
+        return 0
+    if b[-1] <= w[-1]:
+        tail = nw - bisect_left(w, b[-1])
+    else:
+        tail = nb - bisect_right(b, w[-1])
+    return nb + nw - tail
 
 
 class PairwiseChain(BlackWhiteArray):

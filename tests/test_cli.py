@@ -2,11 +2,14 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bwa import read_csv
+from bwa import cli, read_csv
 from bwa.cli import main
 
 CASCADE_SCRIPT = """\
@@ -150,6 +153,94 @@ class TestSort:
         assert out == ""
         assert err == ("bwa sort: invalid literal for int() with base 10: "
                        "'x'\n")
+
+    def test_decode_error_fails_cleanly(self, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(b"1 \xff 2"), encoding="utf-8",
+                                 errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["sort"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bwa sort: stdin is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, out, bad", [
+        (" \n\t\x0b\x0c\r ", "\n", None),
+        ("-", "", "'-'"),
+        ("+", "", "'+'"),
+        ("1 - 2", "", "'-'"),
+        ("- 5", "", "'-'"),
+        ("1 -", "", "'-'"),
+        ("5-3", "", "'5-3'"),
+        ("3\x1c1\x1f2\xa00", "0 1 2 3\n", None),
+        ("0" * 700 + "5 -1", "-1 5\n", None),
+    ])
+    def test_numpy_disagreements_parse_as_int_does(self, monkeypatch, capsys,
+                                                    text, out, bad):
+        # inputs numpy's text parser reads otherwise than int() per token
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["sort"]) == (1 if bad else 0)
+        err = bad and f"bwa sort: invalid literal for int() with base 10: {bad}\n"
+        assert capsys.readouterr() == (out, err or "")
+
+    def test_token_over_the_digit_limit_fails(self, monkeypatch, capsys):
+        # numpy reads it as 5; int() refuses its 4302 digits
+        monkeypatch.setattr("sys.stdin", io.StringIO("0" * 4301 + "5"))
+        assert main(["sort"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bwa sort: Exceeds the limit (4300 digits)")
+
+    def test_plain_text_skips_the_token_path(self, monkeypatch, capsys):
+        # numpy's parser reads it: a deprecation of its text mode shows here
+        def token_path(tokens, dtype):
+            raise AssertionError("token path taken")
+        monkeypatch.setattr(cli, "_parse_ints", token_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("-3 +1\r\n0\t2\x0b7"))
+        assert main(["sort"]) == 0
+        assert capsys.readouterr().out == "-3 0 1 2 7\n"
+
+    def test_numpy_warning_takes_the_token_path(self, monkeypatch, capsys):
+        # older numpy warns at an unparsed character and returns what it read
+        def fromstring(text, dtype, sep):
+            warnings.warn("string or file could not be read to its end due "
+                          "to unmatched data", DeprecationWarning)
+            return np.array([1], dtype)
+        monkeypatch.setattr(np, "fromstring", fromstring)
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 x 2"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["sort"]) == 1
+        assert capsys.readouterr() == (
+            "", "bwa sort: invalid literal for int() with base 10: 'x'\n")
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# one draw per class where numpy's text parser and int() can disagree
+_PIECES = [" ", "\n", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e",
+           "\x1f", "\xa0", "_", "\u0661", "\x00", "+", "-", "5-3", "1 -",
+           "- 5", "1_000", "007", str(_INT64_MIN), str(_INT64_MAX),
+           str(_INT64_MIN - 1), str(_INT64_MAX + 1), "1" * 20, "9" * 20,
+           "0" * 622 + "1", "0" * 4301 + "1"]
+_texts = st.lists(st.one_of(st.sampled_from(_PIECES),
+                            st.integers(_INT64_MIN - 2, _INT64_MAX + 2).map(str),
+                            st.text(" \t\n+-0123456789_x.", max_size=4)),
+                  max_size=12).map("".join)
+
+
+def _outcome(parse, *args):
+    try:
+        batch = parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return batch.dtype, batch.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts)
+def test_sort_parse_matches_int_per_token(text):
+    assert _outcome(cli._read_ints, text) == \
+        _outcome(cli._parse_ints, text.split(), np.dtype(np.int64))
 
 
 class TestTrace:

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from bwa import (BlackWhiteArray, CapacityExceeded, GrowthPolicy, core,
-                 merge_comparisons)
+from bwa import BlackWhiteArray, CapacityExceeded, GrowthPolicy, core
 
 from conftest import EIGHT, Narrow, owned_bytes
+from pairwise import merge_comparisons
 
 
 class TestConstruction:

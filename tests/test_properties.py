@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bwa import (BlackWhiteArray, CapacityExceeded, merge_comparisons,
-                 run_equivalence)
+from bwa import BlackWhiteArray, CapacityExceeded, run_equivalence
 from bwa.core import _chain_comparisons
+
+from pairwise import merge_comparisons
 
 values_lists = st.lists(st.integers(-(2 ** 31), 2 ** 31 - 1), max_size=300)
 dup_heavy_lists = st.lists(st.integers(0, 15), max_size=300)
