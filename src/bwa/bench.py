@@ -109,7 +109,7 @@ def _timed_probes(bwa: BlackWhiteArray, op: str, probes: list[int]) -> tuple[int
     counter delta divides back out exactly.  Delete batches mutate and run
     once.
     """
-    fn = bwa.search if op == "search" else bwa.delete
+    fn = getattr(bwa, op)
     repeats = _SEARCH_REPEATS if op == "search" else 1
     before = bwa.counters.comparisons
     was_enabled = gc.isenabled()

@@ -17,7 +17,10 @@ import numpy as np
 
 from .bench import CONFIGS, BenchConfig, run_bench, write_csv
 from .core import BlackWhiteArray
-from .oracle import run_equivalence
+from .oracle import KINDS, OpRecord, run_equivalence
+
+# every kind, inserts outweighing the removing kinds so the structure grows
+_VERIFY_MIX = dict.fromkeys(KINDS, 1) | {"insert": 4}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +95,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"bwa verify: cannot allocate 2**{args.size_exp} slots: {exc}",
               file=sys.stderr)
         return 1
-    divergence = run_equivalence(seed=args.seed, n=args.ops,
+    divergence = run_equivalence(seed=args.seed, n=args.ops, mix=_VERIFY_MIX,
                                  hit_ratio=args.hit_ratio,
                                  cap_exp=args.size_exp,
                                  factory=lambda cap_exp: bwa)
@@ -105,7 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.script).read_text(encoding="utf-8")
+        text = Path(args.script).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"bwa trace: {exc}", file=sys.stderr)
         return 1
@@ -114,37 +117,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 1
     bwa = BlackWhiteArray(4)
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("insert", "search", "delete"):
-            print(f"bwa trace: line {lineno}: cannot parse {raw!r} "
-                  "(expected: insert V | search V | delete V)", file=sys.stderr)
-            return 1
-        op, token = parts
+        kind, tokens = words[0], words[1:]
         try:
-            value = int(token)
-        except ValueError:
-            print(f"bwa trace: line {lineno}: {token!r} is not an integer",
-                  file=sys.stderr)
+            if KINDS.get(kind) != len(tokens):
+                grammar = " | ".join(k + " V" * n for k, n in KINDS.items())
+                raise ValueError(f"cannot parse {raw!r} (expected: {grammar})")
+            op = OpRecord(kind, *map(int, tokens))
+            result = getattr(bwa, kind)(*op.args)
+        except ValueError as exc:
+            print(f"bwa trace: line {lineno}: {exc}", file=sys.stderr)
             return 1
-        if op == "insert":
-            try:
-                bwa.insert(value)
-            except OverflowError:
-                print(f"bwa trace: line {lineno}: {value} does not fit in "
-                      f"{bwa.dtype}", file=sys.stderr)
-                return 1
-            print(f"> insert {value}")
-        elif op == "search":
-            idx = bwa.search(value)
-            verdict = "miss" if idx is None else f"hit @{idx}"
-            print(f"> search {value} -> {verdict}")
-        else:
-            idx = bwa.delete(value)
-            verdict = "miss" if idx is None else f"hit @{idx}"
-            print(f"> delete {value} -> {verdict}")
+        except OverflowError:               # an insert outside the dtype
+            print(f"bwa trace: line {lineno}: {op.value} does not fit in "
+                  f"{bwa.dtype}", file=sys.stderr)
+            return 1
+        if kind in ("search", "delete"):
+            result = "miss" if result is None else f"hit @{result}"
+        print(f"> {op}" if kind == "insert" else f"> {op} -> {result}")
         print(bwa.dump() or "(empty)")
     return 0
 

@@ -15,8 +15,10 @@ from typing import Callable, Optional
 
 from .core import BlackWhiteArray
 
-KINDS = ("insert", "search", "delete", "extract_min", "extract_max",
-         "lower_bound", "upper_bound", "interval")
+# each op kind and its operand count; a harness calls an op by its kind,
+# getattr(target, op.kind)(*op.args), on the array and the model alike
+KINDS = {"insert": 1, "search": 1, "delete": 1, "extract_min": 0,
+         "extract_max": 0, "lower_bound": 1, "upper_bound": 1, "interval": 2}
 
 DEFAULT_MIX = {"insert": 0.5, "search": 0.25, "delete": 0.25}
 
@@ -25,18 +27,19 @@ DRAIN_EVERY = 4096  # steps between full drains in run_equivalence
 
 @dataclass(frozen=True)
 class OpRecord:
-    """One generated workload operation."""
+    """One workload operation; its text form is a ``bwa trace`` line."""
 
     kind: str
     value: Optional[int] = None
     hi: Optional[int] = None    # upper edge, interval ops only
 
+    @property
+    def args(self) -> tuple:
+        """The operands in call order: (), (value,) or (value, hi)."""
+        return tuple(a for a in (self.value, self.hi) if a is not None)
+
     def __str__(self) -> str:
-        if self.kind == "interval":
-            return f"interval({self.value}, {self.hi})"
-        if self.value is None:
-            return f"{self.kind}()"
-        return f"{self.kind}({self.value})"
+        return " ".join((self.kind, *map(str, self.args)))
 
 
 class ReferenceModel:
@@ -55,6 +58,8 @@ class ReferenceModel:
     def contains(self, v) -> bool:
         i = bisect_left(self.values, v)
         return i < len(self.values) and self.values[i] == v
+
+    search = contains
 
     def delete(self, v) -> bool:
         i = bisect_left(self.values, v)
@@ -158,12 +163,12 @@ def run_equivalence(seed: int, n: int, mix: Optional[dict[str, float]] = None,
                     ) -> Optional[Divergence]:
     """Replay one generated sequence against the array and the model.
 
-    Every observable is compared per step (hit/miss verdicts, extracted and
-    bound values, interval contents, size) and ``validate()`` runs after
-    every step, so an invariant breach counts as a divergence even when the
-    outputs still agree.  Hit/miss equality plus size equality makes the two
-    multisets equal by induction; full drains are compared every
-    ``DRAIN_EVERY`` steps and at the end as a backstop.  Returns None for a
+    Every step calls the op by name on both, compares the results (hit/miss
+    verdicts, extracted and bound values, interval contents), runs
+    ``validate()`` and then compares sizes, so an invariant breach counts as
+    a divergence even when the outputs still agree.  Hit/miss equality plus
+    size equality makes the two multisets equal by induction; full drains
+    are compared every ``DRAIN_EVERY`` steps and at the end as a backstop.  Returns None for a
     clean run, else the first divergence.
 
     ``factory`` builds the structure under test from a capacity exponent;
@@ -174,37 +179,17 @@ def run_equivalence(seed: int, n: int, mix: Optional[dict[str, float]] = None,
     bwa = factory(cap_exp)
     model = ReferenceModel()
     for step, op in enumerate(ops):
-        kind = op.kind
-        if kind == "insert":
-            bwa.insert(op.value)
-            model.insert(op.value)
-            expected, actual = len(model), len(bwa)
-        elif kind == "search":
-            expected = model.contains(op.value)
-            actual = bwa.search(op.value) is not None
-        elif kind == "delete":
-            expected = model.delete(op.value)
-            actual = bwa.delete(op.value) is not None
-        elif kind == "extract_min":
-            expected = model.extract_min()
-            actual = bwa.extract_min()
-        elif kind == "extract_max":
-            expected = model.extract_max()
-            actual = bwa.extract_max()
-        elif kind == "lower_bound":
-            expected = model.lower_bound(op.value)
-            actual = bwa.lower_bound(op.value)
-        elif kind == "upper_bound":
-            expected = model.upper_bound(op.value)
-            actual = bwa.upper_bound(op.value)
-        else:
-            expected = model.interval(op.value, op.hi)
-            actual = bwa.interval(op.value, op.hi)
+        expected = getattr(model, op.kind)(*op.args)
+        actual = getattr(bwa, op.kind)(*op.args)
+        if type(expected) is bool:          # a search or delete: the array
+            actual = actual is not None     # answers with a slot or None
         if expected != actual:
             return Divergence(step, op, expected, actual)
         violations = bwa.validate()
         if violations:
             return Divergence(step, op, "no invariant violations", violations)
+        if len(bwa) != len(model):
+            return Divergence(step, op, f"size {len(model)}", f"size {len(bwa)}")
         if (step + 1) % DRAIN_EVERY == 0:
             if list(bwa) != model.values:
                 return Divergence(step, op, "drain equal to model contents",

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bwa import cli, read_csv
+from bwa import BlackWhiteArray, ReferenceModel, cli, generate_ops, read_csv
 from bwa.cli import main
+from bwa.oracle import KINDS
 
 CASCADE_SCRIPT = """\
 insert 83
@@ -271,10 +272,49 @@ class TestTrace:
         assert main(["trace", "--script", "/no/such/file"]) == 1
         assert "bwa trace" in capsys.readouterr().err
 
-    def test_bad_op_line_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, message", [
+        ("shuffle 2", "cannot parse 'shuffle 2'"),
+        ("extract_min 3", "cannot parse 'extract_min 3'"),
+        ("interval 5", "cannot parse 'interval 5'"),
+        ("search x", "invalid literal for int() with base 10: 'x'"),
+        ("interval 9 3", "interval requires lo <= hi, got (9, 3)"),
+    ])
+    def test_bad_op_line_fails(self, tmp_path, capsys, line, message):
         script = tmp_path / "bad.txt"
-        script.write_text("insert 1\nshuffle 2\n")
+        script.write_text(f"insert 1\n{line}\ninsert 2\n")
         assert main(["trace", "--script", str(script)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "> insert 1\nrank=0 [1]\n"
+        assert captured.err.startswith(f"bwa trace: line 2: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_generated_ops_replay_as_the_model_answers(self, tmp_path, capsys):
+        ops = generate_ops(seed=9, n=400, mix=dict.fromkeys(KINDS, 1)
+                           | {"insert": 4}, value_range=64)
+        assert {op.kind for op in ops} == set(KINDS)
+        script = tmp_path / "ops.txt"
+        script.write_text("".join(f"{op}\n" for op in ops))
+        assert main(["trace", "--script", str(script)]) == 0
+        steps = [line[2:] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("> ")]
+        model = ReferenceModel()
+        assert len(steps) == len(ops)
+        for op, step in zip(ops, steps):
+            expected = getattr(model, op.kind)(*op.args)
+            if op.kind == "insert":
+                assert step == str(op)
+            elif op.kind in ("search", "delete"):
+                line, verdict = step.split(" -> ")
+                assert line == str(op)
+                assert verdict.startswith("hit @" if expected else "miss")
+            else:
+                assert step == f"{op} -> {expected}"
+
+    def test_script_with_byte_order_mark(self, tmp_path, capsys):
+        script = tmp_path / "bom.txt"
+        script.write_bytes(b"\xef\xbb\xbfinsert 5\n")
+        assert main(["trace", "--script", str(script)]) == 0
+        assert capsys.readouterr() == ("> insert 5\nrank=0 [5]\n", "")
 
     @pytest.mark.parametrize("value", ["99999999999999999999999",
                                        "-99999999999999999999999"])
@@ -362,6 +402,15 @@ class TestVerify:
                             lambda **kwargs: div)
         assert main(["verify", "--ops", "100"]) == 1
         assert "step 17" in capsys.readouterr().out
+
+    def test_lying_bound_exits_one(self, monkeypatch, capsys):
+        class LyingBound(BlackWhiteArray):
+            def lower_bound(self, value):
+                return None
+        monkeypatch.setattr("bwa.cli.BlackWhiteArray", LyingBound)
+        assert main(["verify", "--size-exp", "8", "--ops", "2000",
+                     "--seed", "7"]) == 1
+        assert "lower_bound" in capsys.readouterr().out
 
     def test_bad_arguments_exit_two(self, capsys):
         assert main(["verify", "--size-exp", "0"]) == 2

@@ -1,7 +1,7 @@
 import pytest
 
-from bwa import (BlackWhiteArray, Divergence, ReferenceModel, generate_ops,
-                 run_equivalence)
+from bwa import (BlackWhiteArray, Divergence, OpRecord, ReferenceModel,
+                 generate_ops, run_equivalence)
 
 
 class TestReferenceModel:
@@ -114,3 +114,9 @@ class TestFaultInjection:
         div = run_equivalence(seed=8, n=2000, factory=_LyingSearch, cap_exp=8)
         text = str(div)
         assert "step" in text and "expected" in text
+
+    def test_divergence_shows_the_op_as_a_script_line(self):
+        div = Divergence(3, OpRecord("interval", 3, 9), [], [4])
+        assert str(div) == "step 3: interval 3 9 expected [], got [4]"
+        assert str(Divergence(0, OpRecord("extract_min"), None, 1)) == \
+            "step 0: extract_min expected None, got 1"
