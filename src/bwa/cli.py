@@ -127,12 +127,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 raise ValueError(f"cannot parse {raw!r} (expected: {grammar})")
             op = OpRecord(kind, *map(int, tokens))
             result = getattr(bwa, kind)(*op.args)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             print(f"bwa trace: line {lineno}: {exc}", file=sys.stderr)
-            return 1
-        except OverflowError:               # an insert outside the dtype
-            print(f"bwa trace: line {lineno}: {op.value} does not fit in "
-                  f"{bwa.dtype}", file=sys.stderr)
             return 1
         if kind in ("search", "delete"):
             result = "miss" if result is None else f"hit @{result}"

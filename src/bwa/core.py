@@ -83,7 +83,10 @@ class Counters:
     A carry into rank ``top`` is charged what the pairwise chain of the
     binary-counter insert costs: ``top`` merges (the value with rank 0, the
     result with rank 1, ...), each writing a whole segment and comparing
-    what a two-pointer merge of its occupied values compares, counted in
+    what a two-pointer merge of its occupied values compares.  Ranks 0 and
+    1 are full when active, so a carry into 2 or 4 slots has the runs (1,
+    1) or (1, 1, 2), and the few comparisons that sort those values in the
+    writer give its count: 1, or 3 or 4.  A larger carry is counted in
     closed form by ``_chain_comparisons`` (one sort does the work).  A
     demotion onto an active rank is charged as one such merge.
     ``insert_many`` charges one ``merges`` per segment it writes and one
@@ -289,7 +292,16 @@ class BlackWhiteArray:
             self._batch((value,))           # fail before growing, not after
             self._grow(self.cap_exp + 1)
         s = (total + 1) & ~total            # the first slot of the rank that
-        self._put(s, value)                 # total + 1 sets: inactive, so free
+        wv = self._wv                       # total + 1 sets: inactive, so free
+        # stored through the view, read back and compared; what the view
+        # refuses (7.0 on an integer dtype, an int beyond the dtype's range)
+        # is stored by numpy after _batch checks it
+        try:
+            wv[s] = value
+        except (TypeError, ValueError, OverflowError):
+            self._white[s] = self._batch((value,))[0]
+        if wv[s] != value:
+            self._batch((value,))           # raises: the dtype changed value
         if s == 1:
             self._mask[1] = 1
             self._occ[0] = 1
@@ -298,7 +310,7 @@ class BlackWhiteArray:
         else:
             # the carry of total + 1: the value and ranks 0 .. top - 1 into top
             top = s.bit_length() - 1
-            self._write(top, self._wv[s:s + 1], 0, True)
+            self._write(top, None, 0, True)
             ctr = self.counters             # the pairwise chain's charge: a
             ctr.merges += top               # merge and a segment per rank,
             ctr.moves += (2 << top) - 1     # and the value's slot
@@ -558,44 +570,43 @@ class BlackWhiteArray:
         self._wv = self._white.data
         self._wmask = np.frombuffer(self._mask, dtype=bool)
 
-    def _put(self, i: int, value) -> None:
-        """Store ``value`` in white slot ``i``, or raise as ``insert_many``
-        would.  Through the memoryview a float beyond a float dtype's range
-        lands as inf, with no numpy warning; numpy stores what the
-        memoryview refuses (``7.0`` on an integer dtype), its warnings
-        silenced, since the exact check decides."""
-        wv = self._wv
-        try:
-            wv[i] = value
-        except (TypeError, ValueError):
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._white[i] = value
-        if wv[i] != value:
-            self._batch((value,))           # raises: the dtype changed value
-
     def _batch(self, values) -> np.ndarray:
-        """``values`` as a 1-D array of the dtype.  Raises OverflowError for
-        an integer outside an integer dtype's range and ValueError for any
-        other value the dtype cannot hold exactly: a fraction on an integer
-        dtype, NaN, an integer a float dtype would round."""
+        """``values`` as a 1-D array of the dtype.  A value the dtype cannot
+        hold exactly raises, and the first such value is named: an integer
+        outside an integer dtype's range raises OverflowError (``N does not
+        fit in int64``), any other ValueError (``V is not exactly
+        representable in float64``): a fraction on an integer dtype, NaN,
+        an integer a float dtype would round or cannot reach."""
         if isinstance(values, np.ndarray) and values.dtype == self.dtype:
             batch, given = values, None
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                batch = np.asarray(values, dtype=self.dtype)
             # numpy integers as Python ints: numpy would compare them rounded
             given = (values.tolist() if isinstance(values, np.ndarray) else
                      [int(v) if isinstance(v, np.integer) else v for v in values])
-        if batch.ndim != 1:
-            raise ValueError(f"values must form a 1-D batch, not {batch.ndim}-D")
-        if batch.dtype.kind == "f" and np.isnan(batch).any():
-            raise ValueError("NaN has no place in the order")
-        if given is not None and batch.tolist() != given:
-            v = next(g for h, g in zip(batch.tolist(), given) if h != g)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    batch = np.asarray(values, dtype=self.dtype)
+            except OverflowError:           # an int numpy cannot convert
+                batch = None
+        if batch is not None:
+            if batch.ndim != 1:
+                raise ValueError(f"values must form a 1-D batch, not {batch.ndim}-D")
+            if batch.dtype.kind == "f" and np.isnan(batch).any():
+                raise ValueError("NaN has no place in the order")
+        if given is not None and (batch is None or batch.tolist() != given):
+            v = next(g for g in given if not self._holds(g))
             if isinstance(v, int) and self.dtype.kind in "iu":
                 raise OverflowError(f"{v} does not fit in {self.dtype}")
             raise ValueError(f"{v!r} is not exactly representable in {self.dtype}")
         return batch
+
+    def _holds(self, value) -> bool:
+        """Whether the dtype holds the scalar ``value`` exactly."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.asarray(value, dtype=self.dtype).item() == value
+        except OverflowError:
+            return False
 
     def _write(self, rank: int, new, low: int, chain: bool = False) -> None:
         """Fill white rank ``rank`` with ``new`` and the occupied slots of
@@ -603,25 +614,49 @@ class BlackWhiteArray:
         laid back to back there and sorted, the void tail padded with the
         largest value.  With ``chain``, ``new`` is sorted (alone, it is just
         copied) and the runs' pairwise merges, lowest first, are charged.
-        ``new`` may be the destination's first slot (the scalar carry's
-        value): every branch reads it before writing the segment.
-        Records occupancy, ``total`` and bridges after the slots."""
+        ``new`` None is the scalar carry: one value, staged in the
+        destination's first slot, which every branch reads before writing
+        the segment.  Records occupancy, ``total`` and bridges after the
+        slots."""
         s = 1 << rank
         a = 1 << low
         occ = self._occ
+        if 2 <= s <= 4 and not low:
+            # one value with rank 0 and, into 4 slots, rank 1, both full
+            # when active: the runs (1, 1) or (1, 1, 2), sorted and charged
+            # in closed form
+            wv, mask = self._wv, self._mask
+            x = wv[s] if new is None else new.tolist()[0]
+            y = wv[1]
+            p, q = (x, y) if x <= y else (y, x)
+            if s == 2:
+                wv[2], wv[3] = p, q
+                mask[2] = mask[3] = 1
+                cmp = 1
+            else:                           # then (p, q) with rank 1's (c, d)
+                c, d = wv[2], wv[3]
+                if q <= c:
+                    wv[4], wv[5], wv[6], wv[7] = p, q, c, d
+                    cmp = 3
+                elif d < p:
+                    wv[4], wv[5], wv[6], wv[7] = c, d, p, q
+                    cmp = 3
+                else:                       # the runs interleave: c < q, p <= d
+                    wv[4], wv[5] = (p, c) if p <= c else (c, p)
+                    wv[6], wv[7] = (q, d) if q <= d else (d, q)
+                    cmp = 4
+                mask[4] = mask[5] = mask[6] = mask[7] = 1
+            if chain:
+                self.counters.comparisons += cmp
+            occ[0] = occ[1] = 0
+            occ[rank] = s
+            self._total = self._total & ~(s - 1) | s
+            return
+        if new is None:
+            new = self._wv[s:s + 1]
         if a < s <= self._SMALL_MERGE:
             wv, mask = self._wv, self._mask
             vals = new.tolist()
-            if s == 2:                      # one value and rank 0's: no
-                x, y = vals[0], wv[1]       # void, and one comparison
-                wv[2], wv[3] = (x, y) if x <= y else (y, x)
-                mask[2] = mask[3] = 1
-                if chain:
-                    self.counters.comparisons += 1
-                occ[0] = 0                  # the bookkeeping below, for
-                occ[1] = 2                  # the most frequent write
-                self._total = self._total & ~1 | 2
-                return
             vals += compress(wv[a:s].tolist(), mask[a:s])
             if chain:
                 self.counters.comparisons += _chain_comparisons(

@@ -113,6 +113,30 @@ def test_insert_comparison_bound():
     _report("insert-comparison-bound", "; ".join(details))
 
 
+# every counter after a 100,000-op history over 64 distinct values, so ties,
+# voids and demotions are frequent: (comparisons, moves, merges, demotes,
+# grows), as the pairwise carry chain charges them
+MIXED_MIX = {"insert": 0.42, "delete": 0.33, "search": 0.1, "extract_min": 0.05,
+             "extract_max": 0.05, "lower_bound": 0.025, "upper_bound": 0.025}
+MIXED_COUNTERS = {"int64": (1313, int, (1_728_361, 613_550, 41_465, 984, 10)),
+                  "float64": (1414, lambda v: v / 4 - 8,
+                              (1_726_491, 615_510, 41_630, 955, 10))}
+
+
+def test_mixed_history_counters():
+    details = []
+    for dtype, (seed, value, want) in MIXED_COUNTERS.items():
+        bwa = BlackWhiteArray(4, dtype=dtype)
+        for op in generate_ops(seed, 100_000, mix=MIXED_MIX, hit_ratio=0.9,
+                               value_range=64):
+            getattr(bwa, op.kind)(*map(value, op.args))
+        c = bwa.counters
+        assert (c.comparisons, c.moves, c.merges, c.demotes, c.grows) == want, dtype
+        assert bwa.validate() == []
+        details.append(f"{dtype}: {want}")
+    _report("mixed-history-counters", "; ".join(details))
+
+
 def test_search_comparison_counters():
     hit_cfg = BenchConfig(min_exp=16, max_exp=16, ops=("search",),
                           config="perfect", trials=1, hit_ratio=1.0,

@@ -648,7 +648,10 @@ class TestBoundaryCheck:
         (np.int64, 2 ** 63, OverflowError), (np.uint64, -1, OverflowError),
         (np.float32, 0.1, ValueError), (np.float32, np.float64(0.1), ValueError),
         (np.float32, 2 ** 24 + 1, ValueError), (np.float64, 2 ** 53 + 1, ValueError),
-        (np.float64, float("nan"), ValueError), (bool, 2, ValueError)])
+        (np.float64, float("nan"), ValueError), (bool, 2, ValueError),
+        # beyond what numpy converts: named like any other value lost
+        (np.int64, 10 ** 30, OverflowError), (np.int64, -(10 ** 30), OverflowError),
+        (np.float32, 10 ** 400, ValueError), (np.float64, 10 ** 400, ValueError)])
     @pytest.mark.parametrize("n", [2, 3])      # rank 0 free, or a carry chain
     def test_inexact_scalar_insert_rejected(self, dtype, value, error, n):
         bwa = BlackWhiteArray(3, dtype=dtype)

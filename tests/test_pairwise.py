@@ -5,11 +5,15 @@ the real class and on ``PairwiseChain`` side by side, on four dtypes and
 under both growth policies, with the default bridge constants and with
 ``Narrow``'s small ones.  After every step the two must agree on the
 result, ``total``, the occupancy, every active rank's slots, the bridges
-and all five counters.
+and all five counters.  Every carry into 4 slots over two small domains,
+and sampled carries into 8 slots over a void, must leave the same slot
+bytes, so the order of tied values is pinned too.
 """
 
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bwa import BlackWhiteArray, CapacityExceeded
@@ -84,3 +88,53 @@ def test_one_write_carry_matches_pairwise_chain(dtype, policy, narrow, seed,
         assert _apply(a, op, arg) == _apply(b, op, arg), (op, arg)
         assert _state(a) == _state(b), (op, arg)
     assert a.validate() == []
+
+
+# each dtype's small domain: with -0.0 and 0.0 the order of ties shows in
+# the slot bytes, which == does not see, and -1.0 below them lets every tie
+# test of the 4-slot closed form meet such a tie
+SMALL = {"int64": (0, 1, 2, 3), "float64": (-1.0, -0.0, 0.0, 1.0)}
+
+
+def _carry(cls, dtype, values, void=None):
+    """Insert ``values`` in order; with ``void``, delete it after the first
+    four, so rank 2 keeps a void.  The last insert is the carry looked at."""
+    bwa = cls(4, dtype=dtype)
+    for i, v in enumerate(values):
+        if i == 4 and void is not None:
+            assert bwa.delete(void) is not None
+        bwa.insert(v)
+    return bwa
+
+
+def _slots(bwa, rank):
+    s = 1 << rank
+    c = bwa.counters
+    return (bwa._white[s:s << 1].tobytes(), bytes(bwa._mask[s:s << 1]),
+            bwa.total, bwa.occupancy,
+            (c.comparisons, c.moves, c.merges, c.demotes, c.grows))
+
+
+@pytest.mark.parametrize("dtype", sorted(SMALL))
+def test_every_four_slot_carry_matches_pairwise_chain(dtype):
+    # rank 1 from the first two values, rank 0 from the third, and the
+    # fourth carries all three into rank 2: every state and order
+    for values in itertools.product(SMALL[dtype], repeat=4):
+        a = _carry(BlackWhiteArray, dtype, values)
+        b = _carry(PairwiseChain, dtype, values)
+        assert a.total == 4
+        assert _slots(a, 2) == _slots(b, 2), values
+
+
+@pytest.mark.parametrize("dtype", sorted(SMALL))
+def test_eight_slot_carry_over_a_void_matches_pairwise_chain(dtype):
+    # rank 2 with one void below full ranks 1 and 0, carried into rank 3
+    rng = random.Random(13)
+    domain = SMALL[dtype]
+    for _ in range(300):
+        values = [rng.choice(domain) for _ in range(8)]
+        void = rng.choice(values[:4])
+        a = _carry(BlackWhiteArray, dtype, values, void)
+        b = _carry(PairwiseChain, dtype, values, void)
+        assert a.total == 8 and a.occupancy[3] == 7
+        assert _slots(a, 3) == _slots(b, 3), (values, void)
