@@ -86,9 +86,11 @@ class Counters:
     what a two-pointer merge of its occupied values compares.  Ranks 0 and
     1 are full when active, so a carry into 2 or 4 slots has the runs (1,
     1) or (1, 1, 2), and the few comparisons that sort those values in the
-    writer give its count: 1, or 3 or 4.  A larger carry is counted in
-    closed form by ``_chain_comparisons`` (one sort does the work).  A
-    demotion onto an active rank is charged as one such merge.
+    writer give its count: 1, or 3 or 4.  A carry into 8 slots or more is
+    counted by ``_chain_comparisons`` from its runs as gathered, before
+    one sort orders them: in a list up to ``_SMALL_MERGE`` slots, in the
+    destination segment above.  A demotion onto an active rank is charged
+    as one such merge, counted the same way.
     ``insert_many`` charges one ``merges`` per segment it writes and one
     ``moves`` per slot of that segment; its blocks are sorted, not merged
     pairwise, so it charges no ``comparisons``.  Bridge builds are numpy
@@ -166,7 +168,9 @@ class BlackWhiteArray:
     ``2**cap_exp`` slots of which ``2**cap_exp - 1`` are usable.
     """
 
-    _SMALL_MERGE = 8  # segment length at or below which writes sort lists
+    # segment length at or below which writes sort a list: numpy's cost
+    # per call pays from 32 slots, in a stream of inserts and deletes
+    _SMALL_MERGE = 16
     _LOOKAHEAD = 16   # slots of a lower segment per bridge entry (a power of 2)
     _BRIDGED = 1 << 14  # segments of more slots get a bridge, see _bridge
     _NO_BOUND = object()  # the bound of a query for the minimum or maximum
@@ -483,7 +487,7 @@ class BlackWhiteArray:
         if not parts:
             return iter(())
         values = np.concatenate(parts)
-        values.sort()
+        self._sort(values, True)
         return iter(values.tolist())
 
     def stats(self) -> Stats:
@@ -571,10 +575,11 @@ class BlackWhiteArray:
         self._wmask = np.frombuffer(self._mask, dtype=bool)
 
     def _batch(self, values) -> np.ndarray:
-        """``values`` as a 1-D array of the dtype.  A value the dtype cannot
-        hold exactly raises, and the first such value is named: an integer
-        outside an integer dtype's range raises OverflowError (``N does not
-        fit in int64``), any other ValueError (``V is not exactly
+        """``values`` as a 1-D array of the dtype.  A batch of another shape
+        raises ValueError before any value is looked at.  A value the dtype
+        cannot hold exactly raises, and the first such value is named: an
+        integer outside an integer dtype's range raises OverflowError (``N
+        does not fit in int64``), any other ValueError (``V is not exactly
         representable in float64``): a fraction on an integer dtype, NaN,
         an integer a float dtype would round or cannot reach."""
         if isinstance(values, np.ndarray) and values.dtype == self.dtype:
@@ -586,13 +591,16 @@ class BlackWhiteArray:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # checked below
                     batch = np.asarray(values, dtype=self.dtype)
-            except OverflowError:           # an int numpy cannot convert
-                batch = None
-        if batch is not None:
-            if batch.ndim != 1:
-                raise ValueError(f"values must form a 1-D batch, not {batch.ndim}-D")
-            if batch.dtype.kind == "f" and np.isnan(batch).any():
-                raise ValueError("NaN has no place in the order")
+            except (OverflowError, ValueError):  # an int too large for
+                batch = None                     # numpy, NaN to an int, ...
+        if batch is None:                   # the shape before the values
+            ndim = np.asarray(given, dtype=object).ndim
+        else:
+            ndim = batch.ndim
+        if ndim != 1:
+            raise ValueError(f"values must form a 1-D batch, not {ndim}-D")
+        if batch is not None and batch.dtype.kind == "f" and np.isnan(batch).any():
+            raise ValueError("NaN has no place in the order")
         if given is not None and (batch is None or batch.tolist() != given):
             v = next(g for g in given if not self._holds(g))
             if isinstance(v, int) and self.dtype.kind in "iu":
@@ -605,19 +613,22 @@ class BlackWhiteArray:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.asarray(value, dtype=self.dtype).item() == value
-        except OverflowError:
+        except (OverflowError, ValueError):
             return False
 
     def _write(self, rank: int, new, low: int, chain: bool = False) -> None:
         """Fill white rank ``rank`` with ``new`` and the occupied slots of
         ranks ``low .. rank - 1`` (``[2**low, 2**rank)``, which it clears):
-        laid back to back there and sorted, the void tail padded with the
-        largest value.  With ``chain``, ``new`` is sorted (alone, it is just
-        copied) and the runs' pairwise merges, lowest first, are charged.
-        ``new`` None is the scalar carry: one value, staged in the
-        destination's first slot, which every branch reads before writing
-        the segment.  Records occupancy, ``total`` and bridges after the
-        slots."""
+        gathered in that order and sorted, ties kept in it, the void tail
+        padded with the largest value.  With ``chain``, ``new`` is sorted
+        (alone, it is just copied) and the runs' pairwise merges, lowest
+        first, are charged.  ``new`` None is the scalar carry: one value,
+        staged in the destination's first slot.  One value into 2 or 4
+        slots is sorted in closed form; up to ``_SMALL_MERGE`` slots the
+        values are gathered in a list, above it in the destination, the
+        sources read whole or, only when ``occ`` shows a void, through the
+        mask.  Occupancy, ``total`` and bridges are recorded after the
+        slots, so a write that raises leaves the structure as it was."""
         s = 1 << rank
         a = 1 << low
         occ = self._occ
@@ -652,48 +663,68 @@ class BlackWhiteArray:
             occ[rank] = s
             self._total = self._total & ~(s - 1) | s
             return
-        if new is None:
-            new = self._wv[s:s + 1]
-        if a < s <= self._SMALL_MERGE:
-            wv, mask = self._wv, self._mask
-            vals = new.tolist()
-            vals += compress(wv[a:s].tolist(), mask[a:s])
-            if chain:
-                self.counters.comparisons += _chain_comparisons(
-                    vals, [len(new), *occ[low:rank]])
-            vals.sort()
-            n = len(vals)
-            for i, v in enumerate(vals, s):
-                wv[i] = v
-                mask[i] = 1
-            for i in range(s + n, s << 1):  # the void tail
-                wv[i] = v
-                mask[i] = 0
+        white, wmask = self._white, self._wmask
+        if a == s:                          # new alone, a sorted run if chain:
+            n = len(new)                    # a block or survivors, s values
+            white[s:s + n] = new
+            if not chain:
+                self._sort(white[s:s + n], False)
+            wmask[s:s + n] = True
         else:
-            white, wmask = self._white, self._wmask
-            if a == s:                      # new alone, a sorted run if chain
-                n = len(new)
-                white[s:s + n] = new
-                if not chain:
-                    white[s:s + n].sort()
-            else:
-                counts = [len(new), *occ[low:rank]]
-                n = sum(counts)
-                merged = white[s:s + n]
-                np.concatenate((new, white[a:s][wmask[a:s]]), out=merged)
+            counts = occ[low:rank]
+            n = sum(counts)
+            voids = n < s - a               # a source slot is void
+            if s <= self._SMALL_MERGE:
+                wv, mask = self._wv, self._mask
+                vals = [wv[s]] if new is None else new.tolist()
+                k = len(vals)
+                src = wv[a:s].tolist()
+                vals += compress(src, mask[a:s]) if voids else src
                 if chain:
                     self.counters.comparisons += _chain_comparisons(
-                        self._wv, counts, s)
-                merged.sort()
-            wmask[s:s + n] = True
-            if n < s:
-                white[s + n:s << 1] = white[s + n - 1]
-                wmask[s + n:s << 1] = False
+                        vals, [k, *counts])
+                vals.sort()
+                n += k
+                for i, v in enumerate(vals, s):
+                    wv[i] = v
+                    mask[i] = 1
+                for i in range(s + n, s << 1):  # the void tail
+                    wv[i] = v
+                    mask[i] = 0
+            else:
+                k = 1 if new is None else len(new)
+                if new is not None:
+                    white[s:s + k] = new
+                n += k
+                white[s + k:s + n] = (white[a:s][wmask[a:s]] if voids
+                                      else white[a:s])
+                if chain:
+                    self.counters.comparisons += _chain_comparisons(
+                        self._wv, [k, *counts], s)
+                self._sort(white[s:s + n], chain)
+                wmask[s:s + n] = True
+                if n < s:                   # the void tail
+                    white[s + n:s << 1] = white[s + n - 1]
+                    wmask[s + n:s << 1] = False
         occ[low:rank] = [0] * (rank - low)
         occ[rank] = n
         self._total = self._total & ~(s - a) | s
         if s > self._BRIDGED:
             self._relink(rank)
+
+    def _sort(self, seg: np.ndarray, runs: bool) -> None:
+        """Sort ``seg`` in place, ties kept in order.  Tied floats differ
+        only as -0.0 and 0.0, which numpy's default sort may swap or copy
+        over each other: sorted ``runs`` of floats are merged stably, other
+        floats sorted with their zeros written back in order."""
+        if self.dtype.kind != "f":
+            seg.sort()
+        elif runs:
+            seg.sort(kind="stable")
+        else:
+            zeros = seg[seg == 0]
+            seg.sort()
+            seg[seg.searchsorted(0):][:zeros.size] = zeros
 
     def _demote(self, rank: int) -> None:
         """Move a half-empty segment's survivors one rank down.

@@ -8,8 +8,10 @@ It keeps the paper's layout: a black scratch array of half the white
 array's slots, which the real class does without.
 Every merge is charged ``merge_comparisons`` of its two runs, and a demotion
 onto an active rank is one more such merge.  ``insert_many`` sorts each of
-its blocks once.  The tests check that the one-write carry of the real
-class leaves the same slots, bridges and counters.
+its blocks once, stably: tied values keep the order of the block and then
+of the ranks, lowest first, as a chain of merges would.  The tests check
+that the one-write carry of the real class leaves the same slots, bridges
+and counters.
 """
 
 from bisect import bisect_left, bisect_right
@@ -107,7 +109,7 @@ class PairwiseChain(BlackWhiteArray):
                 n += occ[rank]
                 rank += 1
             s = 1 << rank
-            merged = np.sort(np.concatenate(parts))
+            merged = np.sort(np.concatenate(parts), kind="stable")
             white[s:s + n] = merged
             wmask[s:s + n] = True
             white[s + n:s << 1] = merged[-1]

@@ -115,34 +115,44 @@ class TestInsert:
             bwa.insert(rng.randrange(10 ** 6))
             assert bwa.counters.merges - before == trailing
 
-    @pytest.mark.parametrize("ranks, fail", [
-        (3, "write"), (3, "chain"), (5, "write"), (5, "chain"), (5, "sort")])
-    def test_failed_write_leaves_state(self, monkeypatch, ranks, fail):
+    @pytest.mark.parametrize("ranks, fail, voids", [
+        (3, "write", 1), (3, "chain", 1), (5, "write", 2), (5, "chain", 2),
+        (5, "sort", 2), (4, "sort", 1), (5, "sort", 0)],
+        ids=["3-write", "3-chain", "5-write", "5-chain", "5-sort", "4-sort",
+             "5-sort-void-free"])
+    def test_failed_write_leaves_state(self, monkeypatch, ranks, fail, voids):
         # total 2**ranks - 1: the next insert carries every active rank, into
-        # a segment of 8 slots (sorted as a list) or 32 (sorted by numpy)
+        # a segment of 8 or 16 slots (sorted as a list) or 32 (sorted by
+        # numpy), over ``voids`` voids in the top source segment
         bwa = BlackWhiteArray(6, "fixed")
         for v in range((1 << ranks) - 1):
             bwa.insert(v * 7 % 31)
-        for v in bwa.segment_slots(ranks - 1)[1:3 if ranks == 5 else 2]:
-            bwa.delete(v)                   # voids in the top segment
+        for v in bwa.segment_slots(ranks - 1)[1:1 + voids]:
+            bwa.delete(v)
         assert bwa.total == (1 << ranks) - 1
         before = (bwa.total, bwa.occupancy, len(bwa), list(bwa))
 
         def failing(*args, **kwargs):
             raise MemoryError("write failed")
 
-        def concatenate_then_fail(arrays, out=None, **kwargs):
-            concatenate(arrays, out=out, **kwargs)  # the destination holds
-            raise MemoryError("sort failed")        # the unsorted runs
+        def count_then_fail(runs, counts, start=0):
+            # every value is gathered, in the destination itself on the
+            # numpy branch, and the carried value still leads, unsorted
+            assert isinstance(runs, list) == (ranks < 5)
+            gathered = runs[start:start + sum(counts)]
+            assert sorted(gathered) == sorted(before[3] + [100])
+            assert gathered[0] == 100
+            count(runs, counts, start)
+            raise MemoryError("sort failed")
 
-        concatenate = np.concatenate
+        count = core._chain_comparisons
         with monkeypatch.context() as patch:
             if fail == "write":
                 patch.setattr(bwa, "_write", failing)
             elif fail == "chain":
                 patch.setattr(core, "_chain_comparisons", failing)
             else:
-                patch.setattr(core.np, "concatenate", concatenate_then_fail)
+                patch.setattr(core, "_chain_comparisons", count_then_fail)
             with pytest.raises(MemoryError):
                 bwa.insert(100)
         assert bwa.validate() == []
@@ -610,6 +620,38 @@ class TestBoundaryCheck:
             bwa.insert_many([0.5, float("nan")])
         assert _state(bwa) == before
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_keep_their_sign(self, dtype):
+        # -0.0 == 0.0, so only the bytes tell them apart: bulk blocks,
+        # carries, demotions and the drain must each keep every zero's sign
+        rng = random.Random(5)
+        values = [rng.choice((-0.0, 0.0, -1.0, 1.0)) for _ in range(600)]
+        negative = sum(np.signbit(v) and v == 0 for v in values)
+        built = BlackWhiteArray.from_values(values, dtype=dtype)
+        grown = BlackWhiteArray(2, dtype=dtype)
+        for v in values:
+            grown.insert(v)
+        for bwa in (built, grown):
+            stored = [v for r in range(bwa.cap_exp) if bwa.is_active(r)
+                      for v in bwa.segment_slots(r) if v is not None]
+            assert sum(np.signbit(v) and v == 0 for v in stored) == negative
+            assert sum(np.signbit(v) and v == 0 for v in bwa) == negative
+        for v in values:
+            if v != 0:                      # delete(-0.0) may take a 0.0
+                grown.delete(v)
+        assert grown.counters.demotes       # which wrote zeros again
+        assert sum(np.signbit(v) and v == 0 for v in grown) == negative
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_nan_into_integer_dtype_named(self, dtype):
+        bwa = BlackWhiteArray(4, dtype=dtype)
+        want = f"nan is not exactly representable in {np.dtype(dtype)}"
+        for insert in (bwa.insert, lambda v: bwa.insert_many([1, v])):
+            with pytest.raises(ValueError) as error:
+                insert(float("nan"))
+            assert str(error.value) == want
+        assert bwa.total == 0 and bwa.validate() == []
+
     def test_integer_outside_dtype_overflows(self, eight_value_array):
         before = _state(eight_value_array)
         for values in ([1, 2 ** 63], [-(2 ** 63) - 1],
@@ -649,6 +691,7 @@ class TestBoundaryCheck:
         (np.float32, 0.1, ValueError), (np.float32, np.float64(0.1), ValueError),
         (np.float32, 2 ** 24 + 1, ValueError), (np.float64, 2 ** 53 + 1, ValueError),
         (np.float64, float("nan"), ValueError), (bool, 2, ValueError),
+        (np.int64, float("nan"), ValueError), (np.uint64, float("nan"), ValueError),
         # beyond what numpy converts: named like any other value lost
         (np.int64, 10 ** 30, OverflowError), (np.int64, -(10 ** 30), OverflowError),
         (np.float32, 10 ** 400, ValueError), (np.float64, 10 ** 400, ValueError)])
@@ -739,3 +782,13 @@ class TestBoundaryCheck:
     def test_batch_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
             BlackWhiteArray(4).insert_many(np.zeros((2, 2), dtype=np.int64))
+        # the shape is named before any value is converted or looked at
+        bwa = BlackWhiteArray(4)
+        bwa.insert_many([3, 1])
+        before = _state(bwa)
+        for batch in ([[1, 2]], [[1, 10 ** 30]], [[1, float("nan")]],
+                      [[1.5], [2]]):
+            with pytest.raises(ValueError) as error:
+                bwa.insert_many(batch)
+            assert str(error.value) == "values must form a 1-D batch, not 2-D"
+        assert _state(bwa) == before

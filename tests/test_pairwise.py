@@ -6,8 +6,10 @@ under both growth policies, with the default bridge constants and with
 ``Narrow``'s small ones.  After every step the two must agree on the
 result, ``total``, the occupancy, every active rank's slots, the bridges
 and all five counters.  Every carry into 4 slots over two small domains,
-and sampled carries into 8 slots over a void, must leave the same slot
-bytes, so the order of tied values is pinned too.
+and sampled carries into 8 slots over a void and into 16 and 32 slots,
+full or over voids in several ranks, as well as demotions written back up
+into 16 and 32 slots, must leave the same slot bytes, so the order of tied
+values (-0.0 and 0.0) is pinned too.
 """
 
 import itertools
@@ -138,3 +140,70 @@ def test_eight_slot_carry_over_a_void_matches_pairwise_chain(dtype):
         b = _carry(PairwiseChain, dtype, values, void)
         assert a.total == 8 and a.occupancy[3] == 7
         assert _slots(a, 3) == _slots(b, 3), (values, void)
+
+
+def _build(cls, dtype, cap_exp, values, holes=()):
+    """Insert ``values`` in order, then void the slots ``holes`` in order."""
+    bwa = cls(cap_exp, dtype=dtype)
+    for v in values:
+        bwa.insert(v)
+    for i in holes:
+        bwa._delete_at(i)
+    return bwa
+
+
+def _holes(rng, ranks):
+    """Slots to void in each of ``ranks`` (2 or more): at least one and
+    fewer than half of the rank's slots, so that no rank demotes."""
+    out = []
+    for r in ranks:
+        s = 1 << r
+        out += rng.sample(range(s, s << 1), rng.randrange(1, s >> 1))
+    return out
+
+
+@pytest.mark.parametrize("dtype", sorted(SMALL))
+@pytest.mark.parametrize("top", [4, 5])
+def test_sixteen_and_thirty_two_slot_carries_match_pairwise_chain(dtype, top):
+    # ranks 0 .. top - 1 carried into top: every rank full, or voids in two
+    # or more of ranks 2 .. top - 1; by insert, and as a one-value
+    # insert_many block, which sorts instead of charging the chain
+    rng = random.Random(top)
+    domain = SMALL[dtype]
+    for trial in range(240):
+        values = [rng.choice(domain) for _ in range(1 << top)]
+        holes = []
+        if trial % 2:
+            holes = _holes(rng, rng.sample(range(2, top),
+                                           rng.randrange(2, top - 1)))
+        block = trial % 3 == 0
+        pair = []
+        for cls in (BlackWhiteArray, PairwiseChain):
+            bwa = _build(cls, dtype, top + 1, values[:-1], holes)
+            if block:
+                bwa.insert_many(values[-1:])
+            else:
+                bwa.insert(values[-1])
+            pair.append(bwa)
+        a, b = pair
+        assert a.total == 1 << top and a.occupancy[top] == len(a)
+        assert _slots(a, top) == _slots(b, top), (values, holes, block)
+
+
+@pytest.mark.parametrize("dtype", sorted(SMALL))
+@pytest.mark.parametrize("top", [4, 5])
+def test_demotion_merging_back_up_matches_pairwise_chain(dtype, top):
+    # ranks top and top - 1 active; voiding half of top's slots demotes its
+    # survivors onto top - 1 (full, or with voids), and both are written
+    # back into top
+    rng = random.Random(10 + top)
+    domain = SMALL[dtype]
+    s = 1 << top
+    for trial in range(120):
+        values = [rng.choice(domain) for _ in range(s + (s >> 1))]
+        holes = _holes(rng, [top - 1]) if trial % 2 else []
+        holes += rng.sample(range(s, s << 1), s >> 1)
+        a, b = (_build(cls, dtype, top + 1, values, holes)
+                for cls in (BlackWhiteArray, PairwiseChain))
+        assert a.counters.demotes == 1 and a.total == s
+        assert _slots(a, top) == _slots(b, top), (values, holes)
