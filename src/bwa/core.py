@@ -595,6 +595,10 @@ class BlackWhiteArray:
                 batch = None                     # numpy, NaN to an int, ...
         if batch is None:                   # the shape before the values
             ndim = np.asarray(given, dtype=object).ndim
+            if ndim == 1 and any(isinstance(g, (list, tuple)) or np.ndim(g)
+                                 for g in given):   # rows of unequal length
+                raise ValueError(
+                    "values must form a 1-D batch, not a ragged one")
         else:
             ndim = batch.ndim
         if ndim != 1:
@@ -716,7 +720,10 @@ class BlackWhiteArray:
         """Sort ``seg`` in place, ties kept in order.  Tied floats differ
         only as -0.0 and 0.0, which numpy's default sort may swap or copy
         over each other: sorted ``runs`` of floats are merged stably, other
-        floats sorted with their zeros written back in order."""
+        floats sorted with their zeros written back in order.  Each form is
+        the cheaper one where it is used: on runs the write-back's extra
+        calls cost more than the stable merge, on an unsorted block the
+        stable sort is several times slower than the default one."""
         if self.dtype.kind != "f":
             seg.sort()
         elif runs:

@@ -791,4 +791,10 @@ class TestBoundaryCheck:
             with pytest.raises(ValueError) as error:
                 bwa.insert_many(batch)
             assert str(error.value) == "values must form a 1-D batch, not 2-D"
+        for batch in ([[1, 2], [3]], [[1], 2], [1, (2, 3)], [1, np.array([2])],
+                      [[1, 10 ** 30], [3]]):
+            with pytest.raises(ValueError) as error:
+                bwa.insert_many(batch)
+            assert str(error.value) == (
+                "values must form a 1-D batch, not a ragged one")
         assert _state(bwa) == before
