@@ -153,7 +153,8 @@ def _parse_ints(tokens: list[str], dtype: np.dtype) -> np.ndarray:
 
 
 _INT64 = np.iinfo(np.int64)
-_WHITESPACE = np.frombuffer(b" \t\n\v\f\r", np.uint8)   # numpy's separators
+_SPACE = np.zeros(256, bool)                # numpy's separators, by byte
+_SPACE[list(b" \t\n\v\f\r")] = True
 # a token int() rejects for its length has more than 640 digits (the least
 # limit int() can be given); if int64 holds it, 19 or fewer are significant
 _LONG_ZEROS = "0" * 622
@@ -162,10 +163,18 @@ _LONG_ZEROS = "0" * 622
 def _signs_lead_digits(text: str) -> bool:
     """Whether every ``+`` and ``-`` of ASCII ``text`` begins a token (at
     the start or after whitespace) and is followed by an ASCII digit."""
-    b = np.frombuffer(f" {text} ".encode("ascii"), np.uint8)
-    at = np.flatnonzero((b == 43) | (b == 45))
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    sign = b == 45
+    if "+" in text:
+        sign |= b == 43
+    at = np.flatnonzero(sign)
+    if not at.size:
+        return True
+    if at[-1] == b.size - 1:                # no digit can follow it
+        return False
+    lead = at[1:] if at[0] == 0 else at     # the first byte begins a token
     return bool(((b[at + 1] - 48) < 10).all()            # uint8: wraps
-                and np.isin(b[at - 1], _WHITESPACE).all())
+                and _SPACE[b[lead - 1]].all())
 
 
 def _read_ints(text: str) -> np.ndarray:

@@ -149,6 +149,11 @@ def _chain_comparisons(runs, counts, start=0) -> int:
     return cmp
 
 
+# rank r's segment as a query's walk reads it: its first slot, its end, and
+# r + 1, the charge of a bisection over the whole segment
+_SPANS = tuple((1 << r, 2 << r, r + 1) for r in range(64))
+
+
 def _plain(value):
     """A numpy scalar as the Python scalar it equals.  Python compares an
     int with a float exactly; numpy rounds the int to a float first."""
@@ -173,7 +178,6 @@ class BlackWhiteArray:
     _SMALL_MERGE = 16
     _LOOKAHEAD = 16   # slots of a lower segment per bridge entry (a power of 2)
     _BRIDGED = 1 << 14  # segments of more slots get a bridge, see _bridge
-    _NO_BOUND = object()  # the bound of a query for the minimum or maximum
 
     def __init__(self, cap_exp: int, policy: GrowthPolicy | str = GrowthPolicy.GROW,
                  dtype=np.int64) -> None:
@@ -342,6 +346,9 @@ class BlackWhiteArray:
                     f"free usable slots of a 2**{self.cap_exp}-slot structure")
             self._grow(need)
         ctr = self.counters
+        # the scalar loop leads ties with the newest value, so tied floats
+        # (-0.0 and 0.0) go to the writer newest first
+        step = -1 if self.dtype.kind == "f" else 1
         done = 0
         while done < k:
             size = 1 << ((k - done).bit_length() - 1)
@@ -350,7 +357,7 @@ class BlackWhiteArray:
             low = rank = size.bit_length() - 1
             while (total >> rank) & 1:      # the ranks the carry clears
                 rank += 1
-            self._write(rank, batch[done:done + size], low)
+            self._write(rank, batch[done:done + size][::step], low)
             ctr.merges += 1
             ctr.moves += 1 << rank
             total += size
@@ -383,17 +390,14 @@ class BlackWhiteArray:
         if type(value) is not int and type(value) is not float:
             value = _plain(value)
         t = self._total
-        wv, links = self._wv, self._links
+        wv, links, bridged = self._wv, self._links, self._BRIDGED
         cmp = i = 0
         while t:
-            r = t.bit_length() - 1
-            s = 1 << r
+            s, e, c = _SPANS[t.bit_length() - 1]
             t ^= s
-            e = s << 1
-            link = links[r]
-            if link is None:                # the top rank, or a small one
-                i = bisect_left(wv, value, s, e)
-                cmp += r + 1
+            if s <= bridged or (link := links[c - 1]) is None:
+                i = bisect_left(wv, value, s, e)  # a small rank, or the top
+                cmp += c
             else:                           # i is the rank above's point
                 m, base, shift = link
                 j = (i - base) >> shift
@@ -420,11 +424,11 @@ class BlackWhiteArray:
 
     def minimum(self):
         """Smallest stored value, or None when empty."""
-        return self._value(self._nearest(above=True))
+        return self._value(self._extreme(largest=False))
 
     def maximum(self):
         """Largest stored value, or None when empty."""
-        return self._value(self._nearest(above=False))
+        return self._value(self._extreme(largest=True))
 
     def lower_bound(self, value):
         """Smallest stored value strictly greater than ``value``, or None."""
@@ -444,18 +448,16 @@ class BlackWhiteArray:
             hi = _plain(hi)
         t = self._total
         wv, mask, links = self._wv, self._mask, self._links
+        bridged = self._BRIDGED
         window = self._LOOKAHEAD
         out = []
         cmp = i = 0
         while t:
-            r = t.bit_length() - 1
-            s = 1 << r
+            s, e, c = _SPANS[t.bit_length() - 1]
             t ^= s
-            e = s << 1
-            link = links[r]
-            if link is None:                # the top rank, or a small one
-                i = bisect_left(wv, lo, s, e)
-                cmp += r + 1
+            if s <= bridged or (link := links[c - 1]) is None:
+                i = bisect_left(wv, lo, s, e)   # a small rank, or the top
+                cmp += c
             else:                           # i is the rank above's point
                 m, base, shift = link
                 j = (i - base) >> shift
@@ -818,29 +820,24 @@ class BlackWhiteArray:
     def _value(self, idx: Optional[int]):
         return None if idx is None else self._wv[idx]
 
-    def _nearest(self, above: bool, value=_NO_BOUND) -> Optional[int]:
+    def _nearest(self, above: bool, value) -> Optional[int]:
         """Slot of the smallest stored value ``> value`` (``above``) or the
-        largest ``< value``, or None; without ``value``, of the smallest or
-        largest stored value.  Ranks are walked highest first, so a tie
-        goes to the later candidate: the lower rank."""
+        largest ``< value``, or None.  Ranks are walked highest first, so a
+        tie goes to the later candidate: the lower rank."""
         t = self._total
         wv, mask, links = self._wv, self._mask, self._links
-        bounded = value is not self._NO_BOUND
-        if bounded and type(value) is not int and type(value) is not float:
+        bridged = self._BRIDGED
+        if type(value) is not int and type(value) is not float:
             value = _plain(value)
         bisect = bisect_right if above else bisect_left
         best = best_value = None
         cmp = i = 0
         while t:
-            r = t.bit_length() - 1
-            s = 1 << r
+            s, e, c = _SPANS[t.bit_length() - 1]
             t ^= s
-            e = s << 1
-            if not bounded:
-                i = s if above else e
-            elif (link := links[r]) is None:    # the top rank, or a small one
-                i = bisect(wv, value, s, e)
-                cmp += r + 1
+            if s <= bridged or (link := links[c - 1]) is None:
+                i = bisect(wv, value, s, e)     # a small rank, or the top
+                cmp += c
             else:                           # i is the rank above's point
                 m, base, shift = link
                 j = (i - base) >> shift
@@ -872,8 +869,33 @@ class BlackWhiteArray:
         self.counters.comparisons += cmp
         return best
 
+    def _extreme(self, largest: bool) -> Optional[int]:
+        """Slot of the smallest stored value (the largest, with
+        ``largest``), or None when empty: the first (last) occupied slot of
+        every active segment, folded as ``_nearest`` folds, with no
+        bisection.  An active segment always holds an occupied slot."""
+        t = self._total
+        wv, mask = self._wv, self._mask
+        find = mask.rfind if largest else mask.find
+        best = best_value = None
+        cmp = 0
+        while t:
+            s, e, _ = _SPANS[t.bit_length() - 1]
+            t ^= s
+            k = e - 1 if largest else s
+            if not mask[k]:
+                k = find(1, s, e)
+            x = wv[k]
+            if best is not None:
+                cmp += 1
+                if (x < best_value) if largest else (x > best_value):
+                    continue
+            best, best_value = k, x
+        self.counters.comparisons += cmp
+        return best
+
     def _extract(self, largest: bool):
-        idx = self._nearest(not largest)
+        idx = self._extreme(largest)
         value = self._value(idx)
         if idx is not None:
             self._delete_at(idx)

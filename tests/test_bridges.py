@@ -15,6 +15,7 @@ import pytest
 from bwa import BlackWhiteArray, CapacityExceeded, ReferenceModel
 
 from conftest import Narrow
+from test_stateful import spec_bisections, spec_search
 
 
 def _build(n, seed=3, policy="grow", cap_exp=None, cls=Narrow):
@@ -108,6 +109,71 @@ class TestLayout:
         ref.insert(1)
         assert _ranks(bwa) == [15, 16] and _bridged(bwa) == [15]
         _sound(bwa, ref)
+
+
+class _Reads(list):
+    """A bridge list that records every rank it is read at."""
+
+    def __init__(self, links):
+        super().__init__(links)
+        self.read = set()
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestWalk:
+    """The query walk reads a rank's bridge only for a segment of more
+    than ``_BRIDGED`` slots, and charges at that boundary what the specs
+    read from the raw slots."""
+
+    # ranks 0, 2, 14, 15 and 17 on the class; 0, 1, 2, 3 and 5 on Narrow
+    @pytest.mark.parametrize("cls, n", [
+        (BlackWhiteArray, 2 ** 17 + 2 ** 15 + 2 ** 14 + 5),
+        (Narrow, 2 ** 5 + 2 ** 3 + 2 ** 2 + 3)])
+    def test_small_ranks_never_read(self, cls, n):
+        bwa, ref = _build(n, cls=cls)
+        for v in ref.values[::7]:              # voids for the walk to skip
+            assert bwa.delete(v) is not None and ref.delete(v)
+        large = {r for r in _ranks(bwa) if 1 << r > bwa._BRIDGED}
+        assert _bridged(bwa)
+        assert bwa._BRIDGED.bit_length() - 1 in _ranks(bwa)   # the boundary
+        bwa._links = _Reads(bwa._links)
+        probes = range(-1, 2 * len(ref.values) + 9, max(1, n // 40))
+        _sound(bwa, ref, probes)
+        assert bwa._links.read == large
+        bwa._links.read.clear()
+        bwa.minimum(), bwa.maximum()
+        assert bwa.extract_min() == ref.extract_min()
+        assert bwa._links.read == set()        # extremes bisect nothing
+
+    def test_charges_at_the_bridged_boundary(self):
+        # Narrow's 4-slot rank 2 is bisected whole, its 8-slot rank 3
+        # through a bridge
+        bwa, ref = _build(2 ** 5 + 2 ** 3 + 2 ** 2 + 3)
+        _delete_from(bwa, ref, 5, 6)
+        assert _ranks(bwa) == [0, 1, 2, 3, 5] and _bridged(bwa) == [3]
+        for v in range(-1, 2 * len(ref.values) + 3):
+            assert bwa.search(v) == spec_search(bwa, v), v
+            before = bwa.counters.comparisons
+            bwa.search(v)
+            if v % 2:                          # a miss: values are even
+                reached = sum(bwa._white[(2 << r) - 1] >= v
+                              for r in _ranks(bwa))
+                assert bwa.counters.comparisons - before == \
+                    spec_bisections(bwa, v, False) + reached, v
+            for query, right, beyond in (
+                    (bwa.lower_bound, True, lambda x: x > v),
+                    (bwa.upper_bound, False, lambda x: x < v)):
+                found = sum(any(x is not None and beyond(x)
+                                for x in bwa.segment_slots(r))
+                            for r in _ranks(bwa))
+                before = bwa.counters.comparisons
+                query(v)
+                assert bwa.counters.comparisons - before == \
+                    spec_bisections(bwa, v, right) + max(found - 1, 0), v
 
 
 class TestWriters:

@@ -244,6 +244,30 @@ def test_sort_parse_matches_int_per_token(text):
         _outcome(cli._parse_ints, text.split(), np.dtype(np.int64))
 
 
+def _signs_lead_digits_spec(text):
+    """Every ``+`` and ``-`` at the start or after numpy's whitespace, and
+    followed by an ASCII digit, read one character at a time."""
+    padded = f" {text} "
+    return all(padded[k - 1] in " \t\n\v\f\r" and padded[k + 1] in "0123456789"
+               for k, c in enumerate(padded) if c in "+-")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-1 2", True), ("+1 2", True), ("1 2-", False), ("1 2+", False),
+    ("+", False), ("-", False), ("1 +", False), ("+1", True), ("", True),
+    ("1-2", False), ("\t-3\n+4", True), ("1 -+2", False), ("- 1", False)])
+def test_sign_check_cases(text, want):
+    # a sign as the first byte, as the last byte, and alone
+    assert cli._signs_lead_digits(text) == want
+    assert _signs_lead_digits_spec(text) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text("12 -+\n\t\x0b\x0c\r", max_size=14))
+def test_sign_check_matches_spec(text):
+    assert cli._signs_lead_digits(text) == _signs_lead_digits_spec(text)
+
+
 class TestTrace:
     def test_cascade_golden(self, tmp_path, capsys):
         script = tmp_path / "cascade.txt"

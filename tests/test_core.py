@@ -590,6 +590,34 @@ class TestInsertMany:
         assert list(bwa) == sorted([7, *range(100)])
         assert bwa.validate() == []
 
+    def test_tied_floats_land_where_the_scalar_loop_leaves_them(self):
+        # -0.0 == 0.0, so only the bytes tell where each zero went: after a
+        # scalar prefill, insert_many must leave every active rank's slots
+        # and mask as inserting its values one by one does
+        def ranks(bwa):
+            return [(bwa._white[1 << r:2 << r].tobytes(),
+                     bytes(bwa._mask[1 << r:2 << r]))
+                    for r in range(bwa.cap_exp) if bwa.is_active(r)]
+
+        rng = random.Random(7)
+        for _ in range(2000):
+            prefill = [rng.choice((-0.0, 0.0, 1.0))
+                       for _ in range(rng.randrange(40))]
+            batch = [rng.choice((-0.0, 0.0, -1.0))
+                     for _ in range(rng.randrange(1, 40))]
+            scalar = BlackWhiteArray(2, dtype=np.float64)
+            bulk = BlackWhiteArray(2, dtype=np.float64)
+            for bwa in (scalar, bulk):
+                for v in prefill:
+                    bwa.insert(v)
+            for v in batch:
+                scalar.insert(v)
+            bulk.insert_many(batch)
+            assert ranks(bulk) == ranks(scalar), (prefill, batch)
+        bwa = BlackWhiteArray(2, dtype=np.float64)
+        bwa.insert_many([-0.0, 0.0])
+        assert np.signbit(bwa.segment_slots(1)).tolist() == [False, True]
+
     def test_fixed_policy_overflow_leaves_everything(self, demotion_ready_array):
         bwa = demotion_ready_array           # total 14 of 15 usable slots
         bwa.insert_many([1])
