@@ -101,13 +101,14 @@ def _probe_values(rng: np.random.Generator, stored: np.ndarray, count: int,
 
 
 def _timed_probes(bwa: BlackWhiteArray, op: str, probes: list[int]) -> tuple[int, int]:
-    """Run one probe batch; returns (elapsed_ns, comparisons).
+    """Run one batch of ``op`` calls, one per value of ``probes``, with the
+    GC paused; returns (elapsed_ns, comparisons).
 
     Search batches leave the structure untouched, so they run
     ``_SEARCH_REPEATS`` times and the fastest pass wins, suppressing
     scheduler noise; every pass performs identical comparisons, so the
-    counter delta divides back out exactly.  Delete batches mutate and run
-    once.
+    counter delta divides back out exactly.  Insert and delete batches
+    mutate and run once.
     """
     fn = getattr(bwa, op)
     repeats = _SEARCH_REPEATS if op == "search" else 1
@@ -138,19 +139,9 @@ def run_insert_bench(cfg: BenchConfig) -> list[BenchRow]:
             n = 1 << m
             values = _stored_values(rng, n, m).tolist()
             bwa = BlackWhiteArray(m + 1, GrowthPolicy.FIXED)
-            insert = bwa.insert
-            was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                t0 = time.perf_counter_ns()
-                for v in values:
-                    insert(v)
-                elapsed = time.perf_counter_ns() - t0
-            finally:
-                if was_enabled:
-                    gc.enable()
+            elapsed, cmps = _timed_probes(bwa, "insert", values)
             rows.append(BenchRow(m, "insert", cfg.config, cfg.hit_ratio,
-                                 elapsed / n, bwa.counters.comparisons / n))
+                                 elapsed / n, cmps / n))
         except (MemoryError, ValueError) as exc:  # numpy: no room, too big
             print(f"insert bench: cannot allocate 2^{m} ({exc}), size skipped",
                   file=sys.stderr)

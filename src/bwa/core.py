@@ -46,6 +46,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+import operator
 from typing import Iterator, Optional
 
 import numpy as np
@@ -160,6 +161,15 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _index(i, name: str, lo: int, hi: int) -> int:
+    """``i`` as a Python int in ``[lo, hi]``: TypeError for a value that is
+    no integer (numpy integers are), ValueError outside the range."""
+    i = operator.index(i)
+    if not lo <= i <= hi:
+        raise ValueError(f"{name} {i} outside [{lo}, {hi}]")
+    return i
+
+
 class BlackWhiteArray:
     """Ordered multiset over numeric values with amortized-logarithmic ops.
 
@@ -239,27 +249,23 @@ class BlackWhiteArray:
 
     def seg_bounds(self, rank: int) -> tuple[int, int]:
         """First and last slot index of the segment of ``rank``."""
-        if not 0 <= rank < self.cap_exp:
-            raise ValueError(f"rank {rank} outside [0, {self.cap_exp - 1}]")
-        s = 1 << rank
+        s = 1 << _index(rank, "rank", 0, self.cap_exp - 1)
         return s, (s << 1) - 1
 
     def is_active(self, rank: int) -> bool:
         """Whether the white segment of ``rank`` holds live data."""
-        if not 0 <= rank < self.cap_exp:
-            raise ValueError(f"rank {rank} outside [0, {self.cap_exp - 1}]")
+        rank = _index(rank, "rank", 0, self.cap_exp - 1)
         return bool((self._total >> rank) & 1)
 
     def rank_of(self, index: int) -> int:
         """Rank of the segment containing a white-array index."""
-        if not 1 <= index < (1 << self.cap_exp):
-            raise ValueError(f"index {index} outside [1, {(1 << self.cap_exp) - 1}]")
+        index = _index(index, "index", 1, (1 << self.cap_exp) - 1)
         return index.bit_length() - 1
 
     def segment_slots(self, rank: int) -> list:
         """Slot contents of an active segment, ``None`` marking voids."""
         s, t = self.seg_bounds(rank)
-        if not self.is_active(rank):
+        if not self._total & s:
             raise ValueError(f"rank {rank} is not active")
         vals = self._white[s:t + 1].tolist()
         mask = self._wmask[s:t + 1].tolist()
@@ -272,13 +278,10 @@ class BlackWhiteArray:
                     policy: GrowthPolicy | str = GrowthPolicy.GROW,
                     dtype=np.int64) -> "BlackWhiteArray":
         """Bulk constructor: ``insert_many`` on an empty structure, so the
-        exact state that inserting ``values`` in order would reach.
-        Counters stay at zero."""
-        n = len(values)
+        exact state that inserting ``values`` in order would reach, and the
+        policy's answer to a ``cap_exp`` too small.  Counters stay at zero."""
         if cap_exp is None:
-            cap_exp = max(1, n.bit_length())
-        if n >= 1 << cap_exp:
-            raise ValueError(f"{n} values exceed capacity {(1 << cap_exp) - 1}")
+            cap_exp = max(1, len(values).bit_length())
         bwa = cls(cap_exp, policy=policy, dtype=dtype)
         bwa.insert_many(values)
         bwa.counters.reset()
@@ -288,17 +291,13 @@ class BlackWhiteArray:
 
     def insert(self, value) -> None:
         """Add one value; duplicates accumulate.  A value the dtype cannot
-        hold exactly raises as in ``insert_many`` and changes nothing."""
+        hold exactly raises as in ``insert_many`` and changes nothing, even
+        when a full structure would raise CapacityExceeded or grow."""
         if type(value) is not int and isinstance(value, np.integer):
             value = int(value)              # compared exactly, as Python ints are
         total = self._total
         if total == (1 << self.cap_exp) - 1:
-            if self.policy is GrowthPolicy.FIXED:
-                raise CapacityExceeded(
-                    f"all {total} usable slots of a 2**{self.cap_exp}-slot "
-                    "structure are in use")
-            self._batch((value,))           # fail before growing, not after
-            self._grow(self.cap_exp + 1)
+            self._reserve(self._batch((value,)))  # the value checked first
         s = (total + 1) & ~total            # the first slot of the rank that
         wv = self._wv                       # total + 1 sets: inactive, so free
         # stored through the view, read back and compared; what the view
@@ -336,19 +335,10 @@ class BlackWhiteArray:
         ranks its carry clears, into the rank it sets.
         """
         batch = self._batch(values)
+        self._reserve(batch)
         k = int(batch.size)
         total = self._total
-        need = (total + k).bit_length()
-        if need > self.cap_exp:
-            if self.policy is GrowthPolicy.FIXED:
-                raise CapacityExceeded(
-                    f"{k} values exceed the {(1 << self.cap_exp) - 1 - total} "
-                    f"free usable slots of a 2**{self.cap_exp}-slot structure")
-            self._grow(need)
         ctr = self.counters
-        # the scalar loop leads ties with the newest value, so tied floats
-        # (-0.0 and 0.0) go to the writer newest first
-        step = -1 if self.dtype.kind == "f" else 1
         done = 0
         while done < k:
             size = 1 << ((k - done).bit_length() - 1)
@@ -357,7 +347,8 @@ class BlackWhiteArray:
             low = rank = size.bit_length() - 1
             while (total >> rank) & 1:      # the ranks the carry clears
                 rank += 1
-            self._write(rank, batch[done:done + size][::step], low)
+            # newest first: the scalar loop leads ties (-0.0, 0.0) with it
+            self._write(rank, batch[done:done + size][::-1], low)
             ctr.merges += 1
             ctr.moves += 1 << rank
             total += size
@@ -559,6 +550,17 @@ class BlackWhiteArray:
 
     # -- internals ----------------------------------------------------------
 
+    def _reserve(self, batch: np.ndarray) -> None:
+        """Make room for the checked values ``batch``: past capacity, raise
+        CapacityExceeded under the fixed policy, else grow once as needed."""
+        need = (self._total + batch.size).bit_length()
+        if need > self.cap_exp:
+            if self.policy is GrowthPolicy.FIXED:
+                raise CapacityExceeded(
+                    f"no room for {batch.size} more: {self._total} of "
+                    f"{(1 << self.cap_exp) - 1} usable slots are in use")
+            self._grow(need)
+
     def _grow(self, cap_exp: int) -> None:
         """Resize to ``2**cap_exp`` white slots in one step."""
         n = (1 << cap_exp) - self._white.size
@@ -627,14 +629,15 @@ class BlackWhiteArray:
         ranks ``low .. rank - 1`` (``[2**low, 2**rank)``, which it clears):
         gathered in that order and sorted, ties kept in it, the void tail
         padded with the largest value.  With ``chain``, ``new`` is sorted
-        (alone, it is just copied) and the runs' pairwise merges, lowest
-        first, are charged.  ``new`` None is the scalar carry: one value,
-        staged in the destination's first slot.  One value into 2 or 4
-        slots is sorted in closed form; up to ``_SMALL_MERGE`` slots the
-        values are gathered in a list, above it in the destination, the
+        and the runs' pairwise merges, lowest first, are charged.  ``new``
+        None is the scalar carry: one value, staged in the destination's
+        first slot.  One value into 2 or 4 slots is sorted in closed form;
+        up to ``_SMALL_MERGE`` slots a carry is gathered in a list, above
+        it, and with no source rank at any size, in the destination, the
         sources read whole or, only when ``occ`` shows a void, through the
-        mask.  Occupancy, ``total`` and bridges are recorded after the
-        slots, so a write that raises leaves the structure as it was."""
+        mask; a lone sorted run is not sorted again.  Occupancy, ``total``
+        and bridges are recorded after the slots, so a write that raises
+        leaves the structure as it was."""
         s = 1 << rank
         a = 1 << low
         occ = self._occ
@@ -670,48 +673,44 @@ class BlackWhiteArray:
             self._total = self._total & ~(s - 1) | s
             return
         white, wmask = self._white, self._wmask
-        if a == s:                          # new alone, a sorted run if chain:
-            n = len(new)                    # a block or survivors, s values
-            white[s:s + n] = new
-            if not chain:
-                self._sort(white[s:s + n], False)
-            wmask[s:s + n] = True
+        counts = occ[low:rank]              # none: new alone
+        n = sum(counts)
+        voids = n < s - a                   # a source slot is void
+        if counts and s <= self._SMALL_MERGE:
+            wv, mask = self._wv, self._mask
+            vals = [wv[s]] if new is None else new.tolist()
+            k = len(vals)
+            src = wv[a:s].tolist()
+            vals += compress(src, mask[a:s]) if voids else src
+            if chain:
+                self.counters.comparisons += _chain_comparisons(
+                    vals, [k, *counts])
+            vals.sort()
+            n += k
+            for i, v in enumerate(vals, s):
+                wv[i] = v
+                mask[i] = 1
+            for i in range(s + n, s << 1):  # the void tail
+                wv[i] = v
+                mask[i] = 0
         else:
-            counts = occ[low:rank]
-            n = sum(counts)
-            voids = n < s - a               # a source slot is void
-            if s <= self._SMALL_MERGE:
-                wv, mask = self._wv, self._mask
-                vals = [wv[s]] if new is None else new.tolist()
-                k = len(vals)
-                src = wv[a:s].tolist()
-                vals += compress(src, mask[a:s]) if voids else src
-                if chain:
-                    self.counters.comparisons += _chain_comparisons(
-                        vals, [k, *counts])
-                vals.sort()
-                n += k
-                for i, v in enumerate(vals, s):
-                    wv[i] = v
-                    mask[i] = 1
-                for i in range(s + n, s << 1):  # the void tail
-                    wv[i] = v
-                    mask[i] = 0
-            else:
-                k = 1 if new is None else len(new)
-                if new is not None:
-                    white[s:s + k] = new
-                n += k
+            k = 1 if new is None else len(new)
+            if new is not None:
+                white[s:s + k] = new
+            n += k
+            if counts:                      # gathered behind new
                 white[s + k:s + n] = (white[a:s][wmask[a:s]] if voids
                                       else white[a:s])
                 if chain:
                     self.counters.comparisons += _chain_comparisons(
                         self._wv, [k, *counts], s)
                 self._sort(white[s:s + n], chain)
-                wmask[s:s + n] = True
-                if n < s:                   # the void tail
-                    white[s + n:s << 1] = white[s + n - 1]
-                    wmask[s + n:s << 1] = False
+            elif not chain:                 # a lone sorted run is in order
+                self._sort(white[s:s + n], False)
+            wmask[s:s + n] = True
+            if n < s:                       # the void tail
+                white[s + n:s << 1] = white[s + n - 1]
+                wmask[s + n:s << 1] = False
         occ[low:rank] = [0] * (rank - low)
         occ[rank] = n
         self._total = self._total & ~(s - a) | s

@@ -54,9 +54,9 @@ class PairwiseChain(BlackWhiteArray):
             value = int(value)
         total = self._total
         if total == (1 << self.cap_exp) - 1:
+            self._batch((value,))
             if self.policy is GrowthPolicy.FIXED:
                 raise CapacityExceeded("full")
-            self._batch((value,))
             self._grow(self.cap_exp + 1)
         if total & 1 == 0:
             self._white[1] = value

@@ -72,6 +72,22 @@ class TestIndexing:
         with pytest.raises(ValueError):
             bwa.rank_of(16)
 
+    def test_numpy_integers_accepted_other_types_rejected(self):
+        bwa = BlackWhiteArray(4, "fixed")
+        bwa.insert(5)
+        answers = [bwa.seg_bounds(np.int64(3)), bwa.rank_of(np.uint8(11)),
+                   bwa.is_active(np.int32(0)), bwa.segment_slots(np.int16(0))]
+        assert answers == [(8, 15), 3, True, [5]]
+        assert [type(x) for x in (*answers[0], answers[1])] == [int] * 3
+        for helper in (bwa.seg_bounds, bwa.rank_of, bwa.is_active,
+                       bwa.segment_slots):
+            with pytest.raises(TypeError):
+                helper(3.0)
+            with pytest.raises(TypeError):
+                helper("1")
+            with pytest.raises(ValueError, match="outside"):
+                helper(np.int64(-1))
+
     def test_is_active_tracks_bits_of_total(self):
         bwa = BlackWhiteArray(4, "fixed")
         assert not any(bwa.is_active(r) for r in range(4))
@@ -255,6 +271,18 @@ class TestWriteUnit:
         assert bwa._white[8:15].tolist() == merged
         assert bwa.total == 8 and bwa.occupancy == (0, 0, 0, 7, 0)
 
+    def test_lone_sorted_run_into_an_empty_rank(self, bwa, monkeypatch):
+        # survivors demoted into a free rank: one sorted run, no source
+        # rank, more than half of the 8 slots but not all of them
+        monkeypatch.setattr(bwa, "_sort", None)  # the run is not sorted again
+        bwa._write(3, np.array([4, 9, 9, 30, 41]), 3, True)
+        assert bwa._white[8:13].tolist() == [4, 9, 9, 30, 41]
+        assert bwa._wmask[8:16].tolist() == [True] * 5 + [False] * 3
+        self._assert_sorted_padding(bwa, 3, 5)
+        assert bwa.total == 8 and bwa.occupancy == (0, 0, 0, 5, 0)
+        assert bwa.counters.comparisons == 0
+        assert bwa.validate() == []
+
     def test_list_and_array_writes_agree(self):
         # the writer picks list or numpy sorting by segment size; either
         # choice must give the same slots and the same counters
@@ -295,6 +323,16 @@ class TestCapacity:
             bwa.insert(9)
         assert bwa.total == 3
         assert list(bwa) == snapshot
+
+    @pytest.mark.parametrize("value, error", [(2.5, ValueError),
+                                              (2 ** 70, OverflowError)])
+    def test_full_fixed_structure_checks_the_value_first(self, value, error):
+        bwa = BlackWhiteArray(2, "fixed")
+        bwa.insert_many([3, 1, 2])
+        before = _state(bwa)
+        with pytest.raises(error, match=str(value)):
+            bwa.insert(value)
+        assert _state(bwa) == before
 
     def test_space_ratio_two_to_one(self):
         # the slots and one mask byte each; no black scratch array
@@ -576,6 +614,15 @@ class TestInsertMany:
     def test_from_values_leaves_counters_zeroed(self):
         c = BlackWhiteArray.from_values(range(100, 0, -1)).counters
         assert (c.comparisons, c.moves, c.merges, c.demotes, c.grows) == (0,) * 5
+
+    def test_from_values_too_small_cap_exp_follows_the_policy(self):
+        bwa = BlackWhiteArray.from_values(range(8), cap_exp=3)
+        assert bwa.cap_exp == 4 and list(bwa) == list(range(8))
+        c = bwa.counters
+        assert (c.comparisons, c.moves, c.merges, c.demotes, c.grows) == (0,) * 5
+        assert bwa.validate() == []
+        with pytest.raises(CapacityExceeded):
+            BlackWhiteArray.from_values(range(8), cap_exp=3, policy="fixed")
 
     def test_grows_in_one_step_counting_doublings(self):
         bwa = BlackWhiteArray(1, "grow")
