@@ -15,9 +15,10 @@ because that rank is inactive: the rank-0 slot when that bit is clear, else
 the first slot of the carry's destination, where it waits while one write
 sorts it with the occupied slots of every rank the carry clears.  Inserting
 a batch (``insert_many``) adds its size to the counter, with one such write
-per power-of-two block.  Deletion voids a slot in place; when a segment's
-occupancy falls to half, its survivors move one rank down, or, when that
-rank is taken, are written back up with it, which keeps every active
+per power-of-two block, which waits in its destination the same way.
+Deletion voids a slot in place; when a segment's occupancy falls to half,
+its survivors move one rank down, or, when that rank is taken, wait in
+their own rank and are written back up with it, which keeps every active
 segment strictly more than half full.
 
 Every active white segment is sorted over all its slots, voids included: a
@@ -81,21 +82,22 @@ class Counters:
     only when the range runs past them.  ``moves`` counts slot writes, void
     padding included.  ``grows`` counts capacity doublings.
 
-    A carry into rank ``top`` is charged what the pairwise chain of the
-    binary-counter insert costs: ``top`` merges (the value with rank 0, the
-    result with rank 1, ...), each writing a whole segment and comparing
-    what a two-pointer merge of its occupied values compares.  Ranks 0 and
-    1 are full when active, so a carry into 2 or 4 slots has the runs (1,
-    1) or (1, 1, 2), and the few comparisons that sort those values in the
-    writer give its count: 1, or 3 or 4.  A carry into 8 slots or more is
-    counted by ``_chain_comparisons`` from its runs as gathered, before
-    one sort orders them: in a list up to ``_SMALL_MERGE`` slots, in the
-    destination segment above.  A demotion onto an active rank is charged
-    as one such merge, counted the same way.
-    ``insert_many`` charges one ``merges`` per segment it writes and one
-    ``moves`` per slot of that segment; its blocks are sorted, not merged
-    pairwise, so it charges no ``comparisons``.  Bridge builds are numpy
-    work and charge nothing.  ``from_values`` leaves every counter at 0.
+    Every write of a run of ``k`` values into rank ``r``, together with the
+    ranks ``low .. r - 1`` it clears, is charged by one rule.  A scalar
+    carry (one value from rank 0 up) or a demotion's survivors are charged
+    what the pairwise chain of the binary-counter insert costs: ``r - low``
+    merges (the run with rank ``low``, the result with the next rank, ...),
+    each writing a whole segment, so ``2 * (2**r - 2**low) + k`` moves with
+    the run's own slots, and what a two-pointer merge of each pair's
+    occupied values compares.  Ranks 0 and 1 are full when active, so a
+    carry into 2 or 4 slots has the runs (1, 1) or (1, 1, 2), and the few
+    comparisons that sort them give its count: 1, or 3 or 4; any other such
+    write is counted by ``_chain_comparisons`` from its runs as gathered,
+    before one sort orders them.  An ``insert_many`` block is sorted, not
+    merged pairwise: one merge, ``2**r`` moves and no comparisons.  Beyond
+    writes, an insert into rank 0 and a delete move one slot each, and a
+    demotion counts one ``demotes``.  Bridge builds are numpy work and
+    charge nothing.  ``from_values`` leaves every counter at 0.
     """
 
     comparisons: int = 0
@@ -281,6 +283,8 @@ class BlackWhiteArray:
         exact state that inserting ``values`` in order would reach, and the
         policy's answer to a ``cap_exp`` too small.  Counters stay at zero."""
         if cap_exp is None:
+            if not hasattr(values, "__len__"):  # a generator, a map: read once
+                values = list(values)
             cap_exp = max(1, len(values).bit_length())
         bwa = cls(cap_exp, policy=policy, dtype=dtype)
         bwa.insert_many(values)
@@ -315,12 +319,8 @@ class BlackWhiteArray:
             self._total = total + 1
             self.counters.moves += 1
         else:
-            # the carry of total + 1: the value and ranks 0 .. top - 1 into top
-            top = s.bit_length() - 1
-            self._write(top, None, 0, True)
-            ctr = self.counters             # the pairwise chain's charge: a
-            ctr.merges += top               # merge and a segment per rank,
-            ctr.moves += (2 << top) - 1     # and the value's slot
+            # the carry of total + 1: the value and the ranks below s into s
+            self._write(s.bit_length() - 1, 1, 0, True)
 
     def insert_many(self, values) -> None:
         """Add every value of ``values``, leaving slot for slot the state
@@ -336,22 +336,18 @@ class BlackWhiteArray:
         """
         batch = self._batch(values)
         self._reserve(batch)
-        k = int(batch.size)
-        total = self._total
-        ctr = self.counters
+        k = batch.size
         done = 0
         while done < k:
+            total = self._total
             size = 1 << ((k - done).bit_length() - 1)
             if total:
                 size = min(size, total & -total)
-            low = rank = size.bit_length() - 1
-            while (total >> rank) & 1:      # the ranks the carry clears
-                rank += 1
-            # newest first: the scalar loop leads ties (-0.0, 0.0) with it
-            self._write(rank, batch[done:done + size][::-1], low)
-            ctr.merges += 1
-            ctr.moves += 1 << rank
-            total += size
+            s = (total + size) & ~total     # the first slot of the rank
+            # total + size sets, free: the block waits there newest first,
+            # as the scalar loop leads ties (-0.0, 0.0) with it
+            self._white[s:s + size] = batch[done:done + size][::-1]
+            self._write(s.bit_length() - 1, size, size.bit_length() - 1)
             done += size
 
     def delete(self, value) -> Optional[int]:
@@ -589,9 +585,13 @@ class BlackWhiteArray:
         if isinstance(values, np.ndarray) and values.dtype == self.dtype:
             batch, given = values, None
         else:
+            # any other iterable is read once, into the list numpy converts;
             # numpy integers as Python ints: numpy would compare them rounded
-            given = (values.tolist() if isinstance(values, np.ndarray) else
-                     [int(v) if isinstance(v, np.integer) else v for v in values])
+            if isinstance(values, np.ndarray):
+                given = values.tolist()
+            else:
+                values = given = [int(v) if isinstance(v, np.integer) else v
+                                  for v in values]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # checked below
                     batch = np.asarray(values, dtype=self.dtype)
@@ -624,30 +624,25 @@ class BlackWhiteArray:
         except (OverflowError, ValueError):
             return False
 
-    def _write(self, rank: int, new, low: int, chain: bool = False) -> None:
-        """Fill white rank ``rank`` with ``new`` and the occupied slots of
-        ranks ``low .. rank - 1`` (``[2**low, 2**rank)``, which it clears):
-        gathered in that order and sorted, ties kept in it, the void tail
-        padded with the largest value.  With ``chain``, ``new`` is sorted
-        and the runs' pairwise merges, lowest first, are charged.  ``new``
-        None is the scalar carry: one value, staged in the destination's
-        first slot.  One value into 2 or 4 slots is sorted in closed form;
-        up to ``_SMALL_MERGE`` slots a carry is gathered in a list, above
-        it, and with no source rank at any size, in the destination, the
-        sources read whole or, only when ``occ`` shows a void, through the
-        mask; a lone sorted run is not sorted again.  Occupancy, ``total``
-        and bridges are recorded after the slots, so a write that raises
-        leaves the structure as it was."""
+    def _write(self, rank: int, k: int, low: int, chain: bool = False) -> None:
+        """Fill white rank ``rank`` with the run of ``k`` values waiting in
+        its first ``k`` slots and the occupied slots of ranks ``low .. rank
+        - 1`` (``[2**low, 2**rank)``, which it clears), sorted with ties in
+        that order, the void tail padded with the largest value.  ``chain``
+        says the run is sorted and charges the pairwise chain (``Counters``
+        states both charges).  Occupancy, ``total``, the charge and bridges
+        are recorded after the slots, so a write that raises leaves them as
+        they were."""
         s = 1 << rank
         a = 1 << low
         occ = self._occ
+        cmp = 0
         if 2 <= s <= 4 and not low:
             # one value with rank 0 and, into 4 slots, rank 1, both full
-            # when active: the runs (1, 1) or (1, 1, 2), sorted and charged
+            # when active: the runs (1, 1) or (1, 1, 2), sorted and counted
             # in closed form
             wv, mask = self._wv, self._mask
-            x = wv[s] if new is None else new.tolist()[0]
-            y = wv[1]
+            x, y = wv[s], wv[1]
             p, q = (x, y) if x <= y else (y, x)
             if s == 2:
                 wv[2], wv[3] = p, q
@@ -666,54 +661,53 @@ class BlackWhiteArray:
                     wv[6], wv[7] = (q, d) if q <= d else (d, q)
                     cmp = 4
                 mask[4] = mask[5] = mask[6] = mask[7] = 1
-            if chain:
-                self.counters.comparisons += cmp
             occ[0] = occ[1] = 0
-            occ[rank] = s
-            self._total = self._total & ~(s - 1) | s
-            return
-        white, wmask = self._white, self._wmask
-        counts = occ[low:rank]              # none: new alone
-        n = sum(counts)
-        voids = n < s - a                   # a source slot is void
-        if counts and s <= self._SMALL_MERGE:
-            wv, mask = self._wv, self._mask
-            vals = [wv[s]] if new is None else new.tolist()
-            k = len(vals)
-            src = wv[a:s].tolist()
-            vals += compress(src, mask[a:s]) if voids else src
-            if chain:
-                self.counters.comparisons += _chain_comparisons(
-                    vals, [k, *counts])
-            vals.sort()
-            n += k
-            for i, v in enumerate(vals, s):
-                wv[i] = v
-                mask[i] = 1
-            for i in range(s + n, s << 1):  # the void tail
-                wv[i] = v
-                mask[i] = 0
+            n = s
         else:
-            k = 1 if new is None else len(new)
-            if new is not None:
-                white[s:s + k] = new
-            n += k
-            if counts:                      # gathered behind new
-                white[s + k:s + n] = (white[a:s][wmask[a:s]] if voids
-                                      else white[a:s])
+            counts = occ[low:rank]          # none: the run alone
+            n = sum(counts)
+            voids = n < s - a               # a source slot is void
+            if counts and s <= self._SMALL_MERGE:  # gathered in a list
+                wv, mask = self._wv, self._mask
+                vals = [wv[s]] if k == 1 else wv[s:s + k].tolist()
+                src = wv[a:s].tolist()
+                vals += compress(src, mask[a:s]) if voids else src
                 if chain:
-                    self.counters.comparisons += _chain_comparisons(
-                        self._wv, [k, *counts], s)
-                self._sort(white[s:s + n], chain)
-            elif not chain:                 # a lone sorted run is in order
-                self._sort(white[s:s + n], False)
-            wmask[s:s + n] = True
-            if n < s:                       # the void tail
-                white[s + n:s << 1] = white[s + n - 1]
-                wmask[s + n:s << 1] = False
-        occ[low:rank] = [0] * (rank - low)
+                    cmp = _chain_comparisons(vals, [k, *counts])
+                vals.sort()
+                n += k
+                for i, v in enumerate(vals, s):
+                    wv[i] = v
+                    mask[i] = 1
+                for i in range(s + n, s << 1):  # the void tail
+                    wv[i] = v
+                    mask[i] = 0
+            else:
+                white, wmask = self._white, self._wmask
+                n += k
+                if counts:                  # gathered behind the run, the
+                    white[s + k:s + n] = (      # mask read only over a void
+                        white[a:s][wmask[a:s]] if voids else white[a:s])
+                    if chain:
+                        cmp = _chain_comparisons(self._wv, [k, *counts], s)
+                    self._sort(white[s:s + n], chain)
+                elif not chain:             # a lone sorted run is in order
+                    self._sort(white[s:s + n], False)
+                wmask[s:s + n] = True
+                if n < s:                   # the void tail
+                    white[s + n:s << 1] = white[s + n - 1]
+                    wmask[s + n:s << 1] = False
+            occ[low:rank] = [0] * (rank - low)
         occ[rank] = n
         self._total = self._total & ~(s - a) | s
+        ctr = self.counters
+        if chain:
+            ctr.comparisons += cmp
+            ctr.merges += rank - low
+            ctr.moves += 2 * (s - a) + k
+        else:
+            ctr.merges += 1
+            ctr.moves += s
         if s > self._BRIDGED:
             self._relink(rank)
 
@@ -742,17 +736,17 @@ class BlackWhiteArray:
         written back into ``rank`` with it; either way occupancy ends above 75%.
         """
         s = 1 << rank
-        vals = self._white[s:s << 1][self._wmask[s:s << 1]]  # a fresh array
+        k = self._occ[rank]
         taken = (self._total >> (rank - 1)) & 1
+        d = s if taken else s >> 1          # the destination, where the
+        self._white[d:d + k] = (            # survivors wait
+            self._white[s:s << 1][self._wmask[s:s << 1]])
         if not taken:                       # rank - 1 is free: move there
             self._occ[rank] = 0
             self._total -= s
             self._links[rank] = None        # a bridge needs an active rank
-        self._write(rank - 1 + taken, vals, rank - 1, True)
-        ctr = self.counters
-        ctr.demotes += 1
-        ctr.merges += taken                 # one merge into rank, if taken
-        ctr.moves += (s >> 1) + (s if taken else 0)
+        self._write(rank - 1 + taken, k, rank - 1, True)
+        self.counters.demotes += 1
 
     def _bridge(self, rank: int) -> Optional[tuple]:
         """The bridge of ``rank`` as the raw slots define it, or None.

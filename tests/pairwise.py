@@ -8,8 +8,9 @@ It keeps the paper's layout: a black scratch array of half the white
 array's slots, which the real class does without.
 Every merge is charged ``merge_comparisons`` of its two runs, and a demotion
 onto an active rank is one more such merge.  ``insert_many`` sorts each of
-its blocks once, stably: tied values keep the order of the block and then
-of the ranks, lowest first, as a chain of merges would.  The tests check
+its blocks once, stably: tied values keep the order of the block, newest
+first as the scalar loop leaves them, and then of the ranks, lowest first,
+as a chain of merges would.  The tests check
 that the one-write carry of the real class leaves the same slots, bridges
 and counters.
 """
@@ -101,7 +102,7 @@ class PairwiseChain(BlackWhiteArray):
             if total:
                 size = min(size, total & -total)
             low = rank = size.bit_length() - 1
-            parts = [batch[done:done + size]]
+            parts = [batch[done:done + size][::-1]]
             n = size
             while (total >> rank) & 1:
                 s = 1 << rank

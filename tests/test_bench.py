@@ -25,6 +25,8 @@ class TestBenchConfig:
             BenchConfig(min_exp=4, max_exp=6, trials=0)
         with pytest.raises(ValueError):
             BenchConfig(min_exp=4, max_exp=6, hit_ratio=1.5)
+        with pytest.raises(ValueError, match="probes must be at least 1"):
+            BenchConfig(min_exp=4, max_exp=6, probes=0)
 
     def test_exponents_stay_within_int64_values(self):
         # values are drawn below 2**(m + 2) and doubled in int64
@@ -139,6 +141,13 @@ class TestCsv:
         path = tmp_path / "out.csv"
         write_csv(rows, path)
         assert read_csv(path) == rows
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("size_exp,op,ns_per_op\n10,insert,1.5\n")
+        with pytest.raises(ValueError, match="unexpected CSV header "
+                           r"\('size_exp', 'op', 'ns_per_op'\)"):
+            read_csv(path)
 
     def test_unwritable_destination_reports_path(self, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"

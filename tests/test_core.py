@@ -88,6 +88,13 @@ class TestIndexing:
             with pytest.raises(ValueError, match="outside"):
                 helper(np.int64(-1))
 
+    def test_segment_slots_of_an_inactive_rank_rejected(self):
+        bwa = BlackWhiteArray(4)
+        bwa.insert_many([3, 1, 2])
+        assert bwa.segment_slots(0) == [2]
+        with pytest.raises(ValueError, match="rank 2 is not active"):
+            bwa.segment_slots(2)
+
     def test_is_active_tracks_bits_of_total(self):
         bwa = BlackWhiteArray(4, "fixed")
         assert not any(bwa.is_active(r) for r in range(4))
@@ -147,6 +154,7 @@ class TestInsert:
             bwa.delete(v)
         assert bwa.total == (1 << ranks) - 1
         before = (bwa.total, bwa.occupancy, len(bwa), list(bwa))
+        counters = dict(vars(bwa.counters))
 
         def failing(*args, **kwargs):
             raise MemoryError("write failed")
@@ -173,6 +181,7 @@ class TestInsert:
                 bwa.insert(100)
         assert bwa.validate() == []
         assert (bwa.total, bwa.occupancy, len(bwa), list(bwa)) == before
+        assert vars(bwa.counters) == counters
         bwa.insert(100)                     # the carry runs to the end after
         assert bwa.validate() == [] and list(bwa) == before[3] + [100]
         occupancy = [0] * 6
@@ -210,8 +219,8 @@ class TestWriteUnit:
         bwa._wmask[4:8] = [True, True, False, True]
         bwa._occ[2] = 3
         bwa._total = 4
-        new = np.array([6, 52, 67, 83])
-        bwa._write(3, new, 2, True)
+        bwa._white[8:12] = [6, 52, 67, 83]
+        bwa._write(3, 4, 2, True)
         assert bwa._white[8:15].tolist() == [6, 21, 52, 67, 77, 83, 91]
         assert bwa._wmask[8:16].tolist() == [True] * 7 + [False]
         self._assert_sorted_padding(bwa, 3, 7)
@@ -225,7 +234,7 @@ class TestWriteUnit:
         bwa._wmask[1] = True
         bwa._occ[0] = 1
         bwa._total = 1
-        bwa._write(1, bwa._wv[2:3], 0, True)
+        bwa._write(1, 1, 0, True)
         assert bwa._white[2:4].tolist() == [45, 52]
         assert bwa._wmask[2:4].tolist() == [True, True]
         assert bwa.occupancy == (0, 2, 0, 0, 0) and bwa.total == 2
@@ -236,7 +245,8 @@ class TestWriteUnit:
         bwa._wmask[2:4] = [False, True]
         bwa._occ[1] = 1
         bwa._total = 2
-        bwa._write(2, np.array([10]), 1, True)
+        bwa._white[4] = 10
+        bwa._write(2, 1, 1, True)
         assert bwa._white[4:6].tolist() == [10, 20]
         assert bwa._wmask[4:8].tolist() == [True, True, False, False]
         assert bwa.counters.comparisons == 1
@@ -247,7 +257,8 @@ class TestWriteUnit:
         bwa._wmask[2:4] = [True, True]
         bwa._occ[1] = 2
         bwa._total = 2 | 16
-        bwa._write(3, np.array([30, 5]), 1)
+        bwa._white[8:10] = [30, 5]
+        bwa._write(3, 2, 1)
         assert bwa._white[8:12].tolist() == [5, 15, 20, 30]
         assert bwa._wmask[8:16].tolist() == [True] * 4 + [False] * 4
         self._assert_sorted_padding(bwa, 3, 4)
@@ -261,7 +272,8 @@ class TestWriteUnit:
         bwa._wmask[1:8] = [True, True, True, True, False, True, True]
         bwa._occ[:3] = [1, 2, 3]
         bwa._total = 7
-        bwa._write(3, np.array([50]), 0, True)
+        bwa._white[8] = 50
+        bwa._write(3, 1, 0, True)
         runs = [[50], [60], [10, 70], [5, 40, 90]]
         want, merged = 0, runs[0]
         for run in runs[1:]:
@@ -275,7 +287,8 @@ class TestWriteUnit:
         # survivors demoted into a free rank: one sorted run, no source
         # rank, more than half of the 8 slots but not all of them
         monkeypatch.setattr(bwa, "_sort", None)  # the run is not sorted again
-        bwa._write(3, np.array([4, 9, 9, 30, 41]), 3, True)
+        bwa._white[8:13] = [4, 9, 9, 30, 41]
+        bwa._write(3, 5, 3, True)
         assert bwa._white[8:13].tolist() == [4, 9, 9, 30, 41]
         assert bwa._wmask[8:16].tolist() == [True] * 5 + [False] * 3
         self._assert_sorted_padding(bwa, 3, 5)
@@ -437,6 +450,39 @@ class TestValidate:
         eight_value_array._occ[3] -= 1
         assert any("mismatch" in p for p in eight_value_array.validate())
 
+    def test_total_outside_capacity_reported(self, eight_value_array):
+        eight_value_array._total = 16
+        assert "total 16 outside [0, 15]" in eight_value_array.validate()
+
+    def test_occupancy_vector_length_reported(self, eight_value_array):
+        eight_value_array._occ.append(0)
+        assert eight_value_array.validate() == [
+            "occupancy vector length differs from cap_exp"]
+
+    def test_count_on_an_inactive_rank_reported(self, eight_value_array):
+        eight_value_array._occ[1] = 2
+        assert eight_value_array.validate() == [
+            "rank 1: inactive but occupancy count is 2 (total/active mismatch)"]
+
+    def test_void_active_rank_zero_reported(self):
+        bwa = BlackWhiteArray(4)
+        bwa.insert(5)
+        bwa._mask[1] = 0
+        bwa._occ[0] = 0
+        assert bwa.validate() == ["rank 0: active but its slot is void"]
+
+    def test_half_empty_rank_reported(self, eight_value_array):
+        # four voids in rank 3's eight slots, as a missed demotion leaves
+        eight_value_array._wmask[8:16:2] = False
+        eight_value_array._occ[3] = 4
+        assert eight_value_array.validate() == [
+            "rank 3: occupancy 4/8 not above one half"]
+
+    def test_bridge_list_length_reported(self, eight_value_array):
+        eight_value_array._links.append(None)
+        assert eight_value_array.validate() == [
+            "bridge list length differs from cap_exp"]
+
     def test_corrupt_order_reported(self, eight_value_array):
         seg = eight_value_array._white
         seg[8], seg[15] = seg[15].item(), seg[8].item()
@@ -498,6 +544,11 @@ class TestDump:
 
     def test_empty_structure_dumps_nothing(self):
         assert BlackWhiteArray(4).dump() == ""
+
+    def test_repr_counts_values_slots_and_capacity(self, demotion_ready_array):
+        assert repr(demotion_ready_array) == \
+            "BlackWhiteArray(len=10, total=14, capacity=2**4)"
+        assert repr(Narrow(3)) == "Narrow(len=0, total=0, capacity=2**3)"
 
 
 class TestDtype:
@@ -664,6 +715,34 @@ class TestInsertMany:
         bwa = BlackWhiteArray(2, dtype=np.float64)
         bwa.insert_many([-0.0, 0.0])
         assert np.signbit(bwa.segment_slots(1)).tolist() == [False, True]
+
+    @pytest.mark.parametrize("kind", ["generator", "set", "map"])
+    def test_any_iterable_is_a_batch(self, kind):
+        values = [41, 7, 99, 7, 12, 63, 5, 88, 30]
+        make = {"generator": lambda: (v for v in values),
+                "set": lambda: set(values),
+                "map": lambda: map(int, map(str, values))}[kind]
+        as_list = list(make())
+        bulk = BlackWhiteArray(2)
+        for v in (6, 10, 20, 52, 59, 67, 70):
+            bulk.insert(v)
+        bulk.delete(10)
+        ref = copy.deepcopy(bulk)
+        bulk.insert_many(make())
+        ref.insert_many(as_list)
+        assert _state(bulk) == _state(ref) and bulk.validate() == []
+        built = BlackWhiteArray.from_values(make())
+        assert _state(built) == _state(BlackWhiteArray.from_values(as_list))
+        assert sorted(built) == sorted(as_list)
+
+    def test_inexact_value_in_a_generator_named(self, demotion_ready_array):
+        bwa = demotion_ready_array
+        before = _state(bwa)
+        with pytest.raises(ValueError, match="2.5"):
+            bwa.insert_many(v for v in [1, 2, 2.5, 4])
+        assert _state(bwa) == before
+        with pytest.raises(ValueError, match="2.5"):
+            BlackWhiteArray.from_values(v for v in [1, 2, 2.5, 4])
 
     def test_fixed_policy_overflow_leaves_everything(self, demotion_ready_array):
         bwa = demotion_ready_array           # total 14 of 15 usable slots

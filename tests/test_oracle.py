@@ -1,7 +1,7 @@
 import pytest
 
 from bwa import (BlackWhiteArray, Divergence, OpRecord, ReferenceModel,
-                 generate_ops, run_equivalence)
+                 generate_ops, oracle, run_equivalence)
 
 
 class TestReferenceModel:
@@ -98,7 +98,39 @@ class _LeakyDelete(BlackWhiteArray):
         self._wmask[idx] = False
 
 
+class _LyingSize(BlackWhiteArray):
+    """Counts one value more than it holds."""
+
+    def __len__(self):
+        return super().__len__() + 1
+
+
+class _LyingDrain(BlackWhiteArray):
+    """Drains its values largest first."""
+
+    def iter_sorted(self):
+        return reversed(list(super().iter_sorted()))
+
+
 class TestFaultInjection:
+    def test_lying_size_reported_at_the_first_step(self):
+        div = run_equivalence(seed=8, n=200, factory=_LyingSize, cap_exp=8)
+        assert div.step == 0 and div.op.kind == "insert"
+        assert (div.expected, div.actual) == ("size 1", "size 2")
+
+    def test_lying_drain_reported_at_the_periodic_drain(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DRAIN_EVERY", 50)
+        div = run_equivalence(seed=8, n=200, factory=_LyingDrain, cap_exp=8)
+        assert div.step == 49
+        assert (div.expected, div.actual) == ("drain equal to model contents",
+                                              "drain differs")
+
+    def test_lying_drain_reported_at_the_final_drain(self):
+        div = run_equivalence(seed=8, n=200, factory=_LyingDrain, cap_exp=8)
+        assert div.step == 200 and div.op == OpRecord("final-drain")
+        assert (div.expected, div.actual) == ("drain equal to model contents",
+                                              "drain differs")
+
     def test_lying_search_reported_with_step(self):
         div = run_equivalence(seed=8, n=2000, factory=_LyingSearch, cap_exp=8)
         assert isinstance(div, Divergence)

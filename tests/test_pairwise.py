@@ -207,3 +207,21 @@ def test_demotion_merging_back_up_matches_pairwise_chain(dtype, top):
                 for cls in (BlackWhiteArray, PairwiseChain))
         assert a.counters.demotes == 1 and a.total == s
         assert _slots(a, top) == _slots(b, top), (values, holes)
+
+
+def test_batches_of_tied_floats_match_pairwise_chain():
+    # every rank's slot and mask bytes after each batch over both zeros: the
+    # reference takes each block newest first, as the real class does
+    rng = random.Random(17)
+    domain = SMALL["float64"]
+    for _ in range(60):
+        a = BlackWhiteArray(2, dtype="float64")
+        b = PairwiseChain(2, dtype="float64")
+        for _ in range(12):
+            batch = [rng.choice(domain) for _ in range(rng.randrange(1, 25))]
+            a.insert_many(batch)
+            b.insert_many(batch)
+            active = [r for r in range(a.cap_exp) if a.is_active(r)]
+            assert a.cap_exp == b.cap_exp and a.total == b.total
+            assert [_slots(a, r) for r in active] == \
+                [_slots(b, r) for r in active], batch
