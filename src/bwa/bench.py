@@ -100,6 +100,15 @@ def _probe_values(rng: np.random.Generator, stored: np.ndarray, count: int,
     return np.where(take, hit, miss).tolist()
 
 
+def _paper_state(stored: np.ndarray, cap_exp: int) -> BlackWhiteArray:
+    """The state inserting ``stored`` in order reaches, one segment per set
+    bit of its size, as the paper's configurations are defined (not the
+    compact layout ``from_values`` writes)."""
+    bwa = BlackWhiteArray(cap_exp, GrowthPolicy.FIXED)
+    bwa.insert_many(stored)
+    return bwa
+
+
 def _timed_probes(bwa: BlackWhiteArray, op: str, probes: list[int]) -> tuple[int, int]:
     """Run one batch of ``op`` calls, one per value of ``probes``, with the
     GC paused; returns (elapsed_ns, comparisons).
@@ -157,8 +166,7 @@ def _perfect_rows(cfg: BenchConfig, m: int, rng: np.random.Generator,
     for op in ops:
         probes = _probe_values(rng, stored, probe_count, cfg.hit_ratio, m)
         if op == "search":
-            bwa = BlackWhiteArray.from_values(stored, cap_exp=m + 1,
-                                              policy=GrowthPolicy.FIXED)
+            bwa = _paper_state(stored, m + 1)
             elapsed, cmps = _timed_probes(bwa, op, probes)
             count = len(probes)
         else:
@@ -168,8 +176,7 @@ def _perfect_rows(cfg: BenchConfig, m: int, rng: np.random.Generator,
             elapsed = cmps = count = 0
             for i in range(0, len(probes), batch):
                 chunk = probes[i:i + batch]
-                bwa = BlackWhiteArray.from_values(stored, cap_exp=m + 1,
-                                                  policy=GrowthPolicy.FIXED)
+                bwa = _paper_state(stored, m + 1)
                 d, c = _timed_probes(bwa, op, chunk)
                 elapsed += d
                 cmps += c
@@ -188,8 +195,7 @@ def _random_rows(cfg: BenchConfig, m: int, rng: np.random.Generator,
         stored = _stored_values(rng, total, m)
         for op in ops:
             probes = _probe_values(rng, stored, probe_count, cfg.hit_ratio, m)
-            bwa = BlackWhiteArray.from_values(stored, cap_exp=m,
-                                              policy=GrowthPolicy.FIXED)
+            bwa = _paper_state(stored, m)
             d, c = _timed_probes(bwa, op, probes)
             bucket = acc[op]
             bucket[0] += d

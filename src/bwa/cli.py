@@ -132,7 +132,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return 1
         if kind in ("search", "delete"):
             result = "miss" if result is None else f"hit @{result}"
-        print(f"> {op}" if kind == "insert" else f"> {op} -> {result}")
+        print(f"> {op}" if kind in ("insert", "compact") else f"> {op} -> {result}")
         print(bwa.dump() or "(empty)")
     return 0
 
@@ -204,13 +204,12 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         print(f"bwa sort: stdin is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
-    bwa = BlackWhiteArray(10)
     try:
         batch = _read_ints(text)
     except (ValueError, OverflowError) as exc:
         print(f"bwa sort: {exc}", file=sys.stderr)
         return 1
-    bwa.insert_many(batch)
+    bwa = BlackWhiteArray.from_values(batch)
     values = tuple(bwa.iter_sorted())
     out = sys.stdout
     out.write(("%d " * len(values))[:-1] % values)

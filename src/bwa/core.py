@@ -21,6 +21,15 @@ its survivors move one rank down, or, when that rank is taken, wait in
 their own rank and are written back up with it, which keeps every active
 segment strictly more than half full.
 
+Any ``total`` whose active ranks are each more than half full is a valid
+state: inserting ``total`` values in a suitable order, then deleting the
+extra values of the lowest active rank, reaches it.  The bulk constructor
+``from_values`` and ``compact`` write the one with the fewest segments:
+from the top rank down, each rank full until the rest fits in a lower
+one, the rest in the smallest rank that holds it (``_layout``).  A query
+then bisects 1-3 segments for most sizes, where the state that inserts
+reach has one per set bit of ``n``.
+
 Every active white segment is sorted over all its slots, voids included: a
 delete only clears the slot's mask byte and leaves the value in place, and a
 write fills its void tail with the largest value written.  So one ``bisect``
@@ -93,11 +102,12 @@ class Counters:
     carry into 2 or 4 slots has the runs (1, 1) or (1, 1, 2), and the few
     comparisons that sort them give its count: 1, or 3 or 4; any other such
     write is counted by ``_chain_comparisons`` from its runs as gathered,
-    before one sort orders them.  An ``insert_many`` block is sorted, not
-    merged pairwise: one merge, ``2**r`` moves and no comparisons.  Beyond
-    writes, an insert into rank 0 and a delete move one slot each, and a
-    demotion counts one ``demotes``.  Bridge builds are numpy work and
-    charge nothing.  ``from_values`` leaves every counter at 0.
+    before one sort orders them.  An ``insert_many`` block, and each rank
+    ``compact`` writes, is sorted, not merged pairwise: one merge, ``2**r``
+    moves and no comparisons.  Beyond writes, an insert into rank 0 and a
+    delete move one slot each, and a demotion counts one ``demotes``.
+    Bridge builds are numpy work and charge nothing.  ``from_values``
+    leaves every counter at 0.
     """
 
     comparisons: int = 0
@@ -150,6 +160,26 @@ def _chain_comparisons(runs, counts, start=0) -> int:
         done.append((i, e, last))
         i = e
     return cmp
+
+
+def _layout(n: int, cap_exp: int) -> list[tuple[int, int]]:
+    """The compact layout of ``n < 2**cap_exp`` values as ``(rank, count)``
+    pairs, top rank first: walking down from rank ``cap_exp - 1``, each
+    rank is filled completely until the rest fits in a lower one, and the
+    rest goes to the smallest rank that holds it, which it fills to more
+    than half.  So the layout has no more segments than ``n`` has set bits,
+    and most ``n`` need 1-3."""
+    out = []
+    r = cap_exp - 1
+    while n:
+        q = (n - 1).bit_length()            # the smallest rank that holds n
+        if q <= r:
+            out.append((q, n))
+            break
+        out.append((r, 1 << r))
+        n -= 1 << r
+        r -= 1
+    return out
 
 
 # rank r's segment as a query's walk reads it: its first slot, its end, and
@@ -279,15 +309,19 @@ class BlackWhiteArray:
     def from_values(cls, values, cap_exp: Optional[int] = None,
                     policy: GrowthPolicy | str = GrowthPolicy.GROW,
                     dtype=np.int64) -> "BlackWhiteArray":
-        """Bulk constructor: ``insert_many`` on an empty structure, so the
-        exact state that inserting ``values`` in order would reach, and the
-        policy's answer to a ``cap_exp`` too small.  Counters stay at zero."""
+        """Bulk constructor: ``values`` in the compact layout
+        (``_layout``), and the policy's answer to a ``cap_exp`` too small.
+        All or nothing, as ``insert_many``, whose state on an empty
+        structure is the one inserting ``values`` in order reaches.
+        Counters stay at zero."""
         if cap_exp is None:
             if not hasattr(values, "__len__"):  # a generator, a map: read once
                 values = list(values)
             cap_exp = max(1, len(values).bit_length())
         bwa = cls(cap_exp, policy=policy, dtype=dtype)
-        bwa.insert_many(values)
+        batch = bwa._batch(values)
+        bwa._reserve(batch)
+        bwa._fill(batch)
         bwa.counters.reset()
         return bwa
 
@@ -349,6 +383,24 @@ class BlackWhiteArray:
             self._white[s:s + size] = batch[done:done + size][::-1]
             self._write(s.bit_length() - 1, size, size.bit_length() - 1)
             done += size
+
+    def compact(self) -> None:
+        """Rewrite the live values into the compact layout (``_layout``),
+        in the fewest segments the capacity allows, which does not change.
+
+        The values are written into a fresh structure of the same capacity,
+        whose slots, mask, occupancy, ``total`` and bridges are adopted only
+        once every rank is written, so a failure (a ``MemoryError``, say)
+        leaves the structure and its counters as they were.  Each rank
+        written is charged as ``_write`` charges a lone run: one merge and
+        the rank's ``2**rank`` slots as moves, no comparisons."""
+        fresh = type(self)(self.cap_exp, self.policy, self.dtype)
+        fresh._fill(self._live())
+        for name in ("_white", "_mask", "_occ", "_links", "_total"):
+            setattr(self, name, getattr(fresh, name))
+        self._build_views()
+        self.counters.merges += fresh.counters.merges
+        self.counters.moves += fresh.counters.moves
 
     def delete(self, value) -> Optional[int]:
         """Void one occurrence; returns the slot index it held, or None."""
@@ -470,12 +522,7 @@ class BlackWhiteArray:
     def iter_sorted(self) -> Iterator:
         """All stored values ascending: the occupied slots of every active
         segment, sorted once."""
-        t = self._total
-        parts = [self._white[1 << r:2 << r][self._wmask[1 << r:2 << r]]
-                 for r in range(t.bit_length()) if (t >> r) & 1]
-        if not parts:
-            return iter(())
-        values = np.concatenate(parts)
+        values = self._live()
         self._sort(values, True)
         return iter(values.tolist())
 
@@ -711,6 +758,26 @@ class BlackWhiteArray:
         if s > self._BRIDGED:
             self._relink(rank)
 
+    def _live(self) -> np.ndarray:
+        """A new array of the occupied slots of every active segment, one
+        sorted run per segment, lowest rank first."""
+        t = self._total
+        parts = [self._white[1 << r:2 << r][self._wmask[1 << r:2 << r]]
+                 for r in range(t.bit_length()) if (t >> r) & 1]
+        return np.concatenate(parts) if parts else np.empty(0, self.dtype)
+
+    def _fill(self, batch: np.ndarray) -> None:
+        """Write the checked values ``batch`` into an empty structure in
+        ``_layout``: each chunk waits in the first slots of its rank, top
+        rank first, and ``_write`` sorts and records it."""
+        white = self._white
+        done = 0
+        for rank, k in _layout(batch.size, self.cap_exp):
+            s = 1 << rank
+            white[s:s + k] = batch[done:done + k]
+            self._write(rank, k, rank)
+            done += k
+
     def _sort(self, seg: np.ndarray, runs: bool) -> None:
         """Sort ``seg`` in place, ties kept in order.  Tied floats differ
         only as -0.0 and 0.0, which numpy's default sort may swap or copy
@@ -775,9 +842,12 @@ class BlackWhiteArray:
         su = 1 << u
         stride = self._LOOKAHEAD << (u - rank)
         white = self._white
-        marks = array("q", (s,))
+        # every mark is at most 2**(rank + 1), so below rank 31 it fits in
+        # 32 bits
+        code, kind = ("I", np.uintc) if rank < 31 else ("q", np.int64)
+        marks = array(code, (s,))
         inner = white[s:s << 1].searchsorted(white[su:su << 1:stride]) + s
-        marks.frombytes(inner.astype(np.int64, copy=False).tobytes())
+        marks.frombytes(inner.astype(kind).tobytes())
         marks.append(s << 1)
         return marks, su + 1 - stride, stride.bit_length() - 1
 

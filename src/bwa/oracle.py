@@ -18,7 +18,8 @@ from .core import BlackWhiteArray
 # each op kind and its operand count; a harness calls an op by its kind,
 # getattr(target, op.kind)(*op.args), on the array and the model alike
 KINDS = {"insert": 1, "search": 1, "delete": 1, "extract_min": 0,
-         "extract_max": 0, "lower_bound": 1, "upper_bound": 1, "interval": 2}
+         "extract_max": 0, "lower_bound": 1, "upper_bound": 1, "interval": 2,
+         "compact": 0}
 
 DEFAULT_MIX = {"insert": 0.5, "search": 0.25, "delete": 0.25}
 
@@ -91,6 +92,9 @@ class ReferenceModel:
     def interval(self, lo, hi) -> list:
         return self.values[bisect_left(self.values, lo):bisect_right(self.values, hi)]
 
+    def compact(self) -> None:
+        """A layout change only: the multiset stays as it is."""
+
 
 def generate_ops(seed: int, n: int, mix: Optional[dict[str, float]] = None,
                  hit_ratio: float = 0.5,
@@ -130,7 +134,7 @@ def generate_ops(seed: int, n: int, mix: Optional[dict[str, float]] = None,
             else:
                 v = rng.randrange(value_range)
             ops.append(OpRecord(kind, v))
-        elif kind in ("extract_min", "extract_max"):
+        elif KINDS[kind] == 0:
             ops.append(OpRecord(kind))
         elif kind in ("lower_bound", "upper_bound"):
             ops.append(OpRecord(kind, rng.randrange(value_range)))

@@ -19,10 +19,13 @@ from test_stateful import spec_bisections, spec_search
 
 
 def _build(n, seed=3, policy="grow", cap_exp=None, cls=Narrow):
-    """A bulk-built structure of ``n`` distinct even values in random order,
-    so each rank holds a random sample, and its reference model."""
+    """The sequential state of ``n`` distinct even values inserted in random
+    order, one segment per set bit of ``n``, so each rank holds a random
+    sample, and its reference model."""
     values = [2 * v for v in random.Random(seed).sample(range(4 * n), n)]
-    bwa = cls.from_values(values, cap_exp, policy)
+    bwa = cls(cap_exp or max(1, n.bit_length()), policy)
+    bwa.insert_many(values)
+    bwa.counters.reset()
     ref = ReferenceModel()
     ref.values = sorted(values)
     return bwa, ref

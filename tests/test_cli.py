@@ -292,6 +292,15 @@ class TestTrace:
         assert "> delete 7 -> hit @1" in out
         assert out.rstrip().endswith("(empty)")
 
+    def test_compact_prints_no_result(self, tmp_path, capsys):
+        script = tmp_path / "compact.txt"
+        script.write_text("insert 5\ninsert 3\ninsert 9\ninsert 1\ninsert 7\n"
+                          "insert 4\ninsert 8\ndelete 3\ncompact\n")
+        assert main(["trace", "--script", str(script)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "> delete 3 -> hit @5\nrank=2 [1,·,5,9]\nrank=1 [4,7]\nrank=0 [8]\n"
+            "> compact\nrank=3 [1,4,5,7,8,9,·,·]\n")
+
     def test_missing_script_fails(self, capsys):
         assert main(["trace", "--script", "/no/such/file"]) == 1
         assert "bwa trace" in capsys.readouterr().err
@@ -325,7 +334,7 @@ class TestTrace:
         assert len(steps) == len(ops)
         for op, step in zip(ops, steps):
             expected = getattr(model, op.kind)(*op.args)
-            if op.kind == "insert":
+            if op.kind in ("insert", "compact"):
                 assert step == str(op)
             elif op.kind in ("search", "delete"):
                 line, verdict = step.split(" -> ")

@@ -952,3 +952,153 @@ class TestBoundaryCheck:
             assert str(error.value) == (
                 "values must form a 1-D batch, not a ragged one")
         assert _state(bwa) == before
+
+
+def _segments(bwa):
+    """(rank, occupied slots) of every active rank, top rank first."""
+    return [(r, bwa.occupancy[r]) for r in range(bwa.cap_exp - 1, -1, -1)
+            if bwa.is_active(r)]
+
+
+class TestCompact:
+    @pytest.mark.parametrize("n, cap_exp, layout", [
+        (774_087, 20, [(19, 1 << 19), (18, 249_799)]),
+        (380_871, 19, [(18, 1 << 18), (17, 118_727)]),
+        (53_191, 16, [(15, 1 << 15), (14, 1 << 14), (12, 4039)]),
+        (7, 3, [(2, 4), (1, 2), (0, 1)]),
+        (5, 3, [(2, 4), (0, 1)]),
+        (1000, 20, [(10, 1000)]),
+        (0, 4, [])])
+    def test_layout_examples(self, n, cap_exp, layout):
+        assert core._layout(n, cap_exp) == layout
+
+    def test_layout_rule(self):
+        # each rank full but the last, which is more than half full, and
+        # never more segments than the sequential state's set bits
+        for cap_exp in range(1, 11):
+            for n in range(1, 1 << cap_exp):
+                layout = core._layout(n, cap_exp)
+                ranks = [r for r, _ in layout]
+                assert ranks == sorted(set(ranks), reverse=True)
+                assert ranks[0] < cap_exp
+                assert all(k == 1 << r for r, k in layout[:-1])
+                r, k = layout[-1]
+                assert (1 << r) // 2 < k <= 1 << r
+                assert sum(k for _, k in layout) == n
+                assert len(layout) <= bin(n).count("1")
+
+    def test_layout_after_deletes_that_left_voids(self):
+        values = random.Random(7).sample(range(10 ** 6), 3000)
+        bwa = BlackWhiteArray(12)
+        bwa.insert_many(values)
+        for v in values[::10]:
+            bwa.delete(v)
+        survivors = sorted(set(values) - set(values[::10]))
+        assert len(_segments(bwa)) > 2 and bwa.total > len(bwa)
+        bwa.compact()
+        assert _segments(bwa) == core._layout(2700, 12) == [(11, 2048),
+                                                             (10, 652)]
+        assert bwa.total == 2048 + 1024 and bwa.cap_exp == 12
+        assert list(bwa) == survivors
+        assert bwa.validate() == []
+
+    def test_charges_one_merge_and_every_slot_per_rank(self):
+        bwa = BlackWhiteArray(10)
+        bwa.insert_many(range(700, 0, -1))
+        for v in range(1, 700, 7):
+            bwa.delete(v)
+        before = dict(vars(bwa.counters))
+        bwa.compact()
+        layout = core._layout(len(bwa), 10)
+        assert len(layout) == 2
+        assert vars(bwa.counters) == before | {
+            "merges": before["merges"] + len(layout),
+            "moves": before["moves"] + sum(1 << r for r, _ in layout)}
+
+    def test_failed_sort_leaves_state_and_counters(self, monkeypatch):
+        # the second rank's sort fails after the first rank is written and
+        # charged in the fresh structure; nothing of it is adopted
+        bwa = Narrow(10)
+        bwa.insert_many(random.Random(3).sample(range(5000), 600))
+        for v in list(bwa)[::9]:
+            bwa.delete(v)
+        assert len(core._layout(len(bwa), 10)) == 2
+        before = (_state(bwa), copy.deepcopy(bwa._links))
+        sort, calls = BlackWhiteArray._sort, []
+
+        def failing(self, seg, runs):
+            calls.append(seg.size)
+            if len(calls) == 2:
+                raise MemoryError("sort failed")
+            sort(self, seg, runs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BlackWhiteArray, "_sort", failing)
+            with pytest.raises(MemoryError):
+                bwa.compact()
+        assert (_state(bwa), bwa._links) == before
+        assert bwa.validate() == []
+        bwa.compact()
+        assert _segments(bwa) == core._layout(len(bwa), 10)
+        assert bwa.validate() == []
+
+    def test_empty_structure(self):
+        bwa = BlackWhiteArray(5)
+        bwa.compact()
+        assert (bwa.total, bwa.cap_exp, len(bwa)) == (0, 5, 0)
+        bwa.insert_many([4, 2, 9])
+        for v in (2, 4, 9):
+            bwa.delete(v)
+        before = dict(vars(bwa.counters))
+        bwa.compact()
+        assert (bwa.total, bwa.cap_exp, list(bwa)) == (0, 5, [])
+        assert vars(bwa.counters) == before
+        assert bwa.validate() == []
+        bwa.insert(3)
+        assert list(bwa) == [3]
+
+    def test_fixed_policy_keeps_its_capacity(self):
+        bwa = BlackWhiteArray(6, "fixed")
+        bwa.insert_many(range(63))
+        for v in range(0, 63, 5):
+            bwa.delete(v)
+        bwa.compact()
+        assert bwa.cap_exp == 6 and bwa.policy is GrowthPolicy.FIXED
+        assert _segments(bwa) == core._layout(50, 6) == [(5, 32), (4, 16),
+                                                         (1, 2)]
+        assert bwa.validate() == []
+        added = 0
+        with pytest.raises(CapacityExceeded):
+            while True:
+                bwa.insert(100 + added)
+                added += 1
+        assert bwa.total == 63 and bwa.cap_exp == 6
+        assert list(bwa) == [v for v in range(63) if v % 5] + \
+            list(range(100, 100 + added))
+        assert bwa.validate() == []
+
+    def test_grown_capacity_is_kept(self):
+        bwa = BlackWhiteArray.from_values(range(1000))
+        for v in range(10, 1000):
+            bwa.delete(v)
+        bwa.compact()
+        assert bwa.cap_exp == 10 and _segments(bwa) == [(4, 10)]
+        assert list(bwa) == list(range(10)) and bwa.validate() == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_keep_their_sign(self, dtype):
+        rng = random.Random(9)
+        values = [rng.choice((-0.0, 0.0, -1.0, 1.0, 2.5)) for _ in range(700)]
+        bwa = BlackWhiteArray(10, dtype=dtype)
+        bwa.insert_many(values)
+        for v in (-1.0, 1.0, 2.5) * 40:
+            bwa.delete(v)
+
+        def negative_zeros():
+            return sum(np.signbit(v) and v == 0 for v in bwa)
+
+        negative = negative_zeros()
+        assert 0 < negative < sum(v == 0 for v in values)
+        bwa.compact()
+        assert negative_zeros() == negative
+        assert bwa.validate() == []

@@ -3,6 +3,8 @@ import pytest
 from bwa import (BlackWhiteArray, Divergence, OpRecord, ReferenceModel,
                  generate_ops, oracle, run_equivalence)
 
+from conftest import Narrow
+
 
 class TestReferenceModel:
     def test_multiset_semantics(self):
@@ -19,6 +21,8 @@ class TestReferenceModel:
         assert m.extract_min() == 3
         assert m.extract_max() == 5
         assert m.extract_min() is None
+        m.insert(4)
+        assert m.compact() is None and m.values == [4]
 
 
 class TestGenerateOps:
@@ -43,6 +47,20 @@ class TestGenerateOps:
                 seen.add(op.value)
             elif op.kind in ("search", "delete") and seen:
                 assert op.value in seen
+
+    def test_compact_takes_no_operand_and_no_draw(self):
+        # a zero-operand kind draws no operand: the other ops of a mix are
+        # those of the same mix with compact's weight given to extract_min
+        mix = {"insert": 0.5, "delete": 0.3, "search": 0.1}
+        ops = generate_ops(seed=7, n=600, mix=mix | {"compact": 0.1})
+        twin = generate_ops(seed=7, n=600, mix=mix | {"extract_min": 0.1})
+        assert any(op.kind == "compact" for op in ops)
+        for op, other in zip(ops, twin):
+            if op.kind == "compact":
+                assert op == OpRecord("compact") and op.args == ()
+                assert other == OpRecord("extract_min")
+            else:
+                assert op == other
 
     def test_interval_edges_ordered(self):
         ops = generate_ops(seed=2, n=300, mix={"insert": 0.5, "interval": 0.5})
@@ -73,6 +91,15 @@ class TestRunEquivalence:
                "extract_max": 0.1, "lower_bound": 0.1, "upper_bound": 0.05,
                "interval": 0.05}
         assert run_equivalence(seed=5, n=4000, mix=mix, cap_exp=10) is None
+
+    @pytest.mark.parametrize("cls", [BlackWhiteArray, Narrow])
+    def test_compact_among_all_op_kinds(self, cls):
+        # every query after a compact is checked against the model, and
+        # every state validated, bridges included
+        mix = dict.fromkeys(oracle.KINDS, 0.1) | {"insert": 0.5,
+                                                  "compact": 0.01}
+        assert run_equivalence(seed=8, n=6000, mix=mix, cap_exp=3,
+                               factory=cls) is None
 
     def test_growth_exercised(self):
         # tiny starting capacity forces repeated doublings mid-run

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bwa import BlackWhiteArray, CapacityExceeded, run_equivalence
-from bwa.core import _chain_comparisons
+from bwa.core import _chain_comparisons, _layout as compact_layout
 
 from pairwise import merge_comparisons
 
@@ -77,19 +77,21 @@ def test_insert_many_matches_scalar_loop(history, policy, dtype, cap_exp):
         assert _layout(bulk) == _layout(scalar)
 
 
-@given(values_lists)
-def test_bulk_constructor_matches_sequential_inserts(values):
-    sequential = BlackWhiteArray(max(1, len(values).bit_length()), "fixed")
-    for v in values:
-        sequential.insert(v)
-    bulk = BlackWhiteArray.from_values(values)
-    assert bulk.cap_exp == sequential.cap_exp
-    assert bulk.total == sequential.total
-    assert bulk.occupancy == sequential.occupancy
-    for rank in range(bulk.cap_exp):
-        if bulk.is_active(rank):
-            assert bulk.segment_slots(rank) == sequential.segment_slots(rank)
+@given(values_lists, st.integers(0, 2))
+def test_bulk_constructor_writes_the_compact_layout(values, spare):
+    # the sequential state stays pinned on insert_many, by
+    # test_insert_many_matches_scalar_loop
+    cap_exp = max(1, len(values).bit_length()) + spare
+    bulk = BlackWhiteArray.from_values(values, cap_exp)
+    sequential = BlackWhiteArray(cap_exp, "fixed")
+    sequential.insert_many(values)
+    active = [r for r in range(cap_exp - 1, -1, -1) if bulk.is_active(r)]
+    assert bulk.cap_exp == cap_exp
+    assert [(r, bulk.occupancy[r]) for r in active] == \
+        compact_layout(len(values), cap_exp)
+    assert list(bulk) == sorted(values)
     assert bulk.validate() == []
+    assert len(active) <= bin(sequential.total).count("1")
 
 
 def _count_with_loop(b, w):

@@ -1,12 +1,12 @@
 """Differential stateful test of the whole query surface.
 
 A ``hypothesis.stateful`` machine runs inserts, batch inserts, bulk
-rebuilds, deletes, searches, extractions, extremes, both bounds and
-intervals over a small, duplicate-heavy domain, so void runs, padded void
-tails and ties all occur.  Values are checked against ``ReferenceModel``;
-the slots that ``search``, ``delete`` and the extractions pick, and the
-comparisons bounds and extremes are charged, are checked against naive
-specs read from the raw slots.  ``validate()`` after every step rechecks
+rebuilds, compactions, deletes, searches, extractions, extremes, both
+bounds and intervals over a small, duplicate-heavy domain, so void runs,
+padded void tails and ties all occur.  Values are checked against
+``ReferenceModel``; the slots that ``search``, ``delete`` and the
+extractions pick, and the comparisons bounds and extremes are charged,
+are checked against naive specs read from the raw slots.  ``validate()`` after every step rechecks
 the bridges every writer leaves.  The int64 and float64 machines run the
 class as it is.  The others run ``Narrow``, whose small states already
 bisect through bridges: int64, uint64, float32, and int64 under the fixed
@@ -20,6 +20,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from bwa import BlackWhiteArray, CapacityExceeded, ReferenceModel
+from bwa.core import _layout as compact_layout
 
 from conftest import Narrow
 
@@ -149,6 +150,21 @@ class QuerySurface(RuleBasedStateMachine):
                                         self.dtype)
         for k in ks:
             self.model.insert(self.value(k))
+
+    @rule()
+    def compact(self):
+        """The compact layout at the same capacity, charged one merge and
+        the rank's slots per rank written."""
+        cap_exp, before = self.bwa.cap_exp, dict(vars(self.bwa.counters))
+        self.bwa.compact()
+        layout = compact_layout(len(self.model), cap_exp)
+        assert self.bwa.cap_exp == cap_exp
+        assert [(r, self.bwa.occupancy[r])
+                for r in _active(self.bwa, highest_first=True)] == layout
+        assert vars(self.bwa.counters) == before | {
+            "merges": before["merges"] + len(layout),
+            "moves": before["moves"] + sum(1 << r for r, _ in layout)}
+        assert list(self.bwa) == self.model.values
 
     @rule(j=probe_keys)
     def delete(self, j):
