@@ -249,11 +249,23 @@ def write_csv(rows: list[BenchRow], path) -> None:
 
 
 def read_csv(path) -> list[BenchRow]:
-    """Parse a file produced by write_csv back into rows."""
+    """Parse a file produced by write_csv back into rows.  What write_csv
+    never writes (no header, another header, a row of another width, a
+    field that does not parse) raises ValueError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
+        if not header:
+            raise ValueError(f"{path}, line 1: empty file, no CSV header")
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        return [BenchRow(int(r[0]), r[1], r[2], float(r[3]),
-                         float(r[4]), float(r[5])) for r in reader]
+            raise ValueError(f"{path}, line 1: unexpected CSV header {header!r}")
+        rows = []
+        for r in reader:
+            try:
+                if len(r) != len(CSV_HEADER):
+                    raise ValueError(f"{len(r)} fields, not {len(CSV_HEADER)}")
+                rows.append(BenchRow(int(r[0]), r[1], r[2], float(r[3]),
+                                     float(r[4]), float(r[5])))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        return rows

@@ -73,12 +73,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bwa bench: {exc}", file=sys.stderr)
         return 2
-    rows = run_bench(cfg)
     try:
-        write_csv(rows, args.out)
+        # opened to append, which truncates nothing, and held through the
+        # sweep: an unwritable path fails before any size is measured, and
+        # a FIFO keeps its reader until the rows are written
+        held = open(args.out, "a")
     except OSError as exc:
-        print(f"bwa bench: {exc}", file=sys.stderr)
+        print(f"bwa bench: cannot write benchmark CSV to {args.out}: {exc}",
+              file=sys.stderr)
         return 1
+    with held:
+        rows = run_bench(cfg)
+        try:
+            write_csv(rows, args.out)
+        except OSError as exc:
+            print(f"bwa bench: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -101,13 +101,13 @@ class Counters:
     occupied values compares.  Ranks 0 and 1 are full when active, so a
     carry into 2 or 4 slots has the runs (1, 1) or (1, 1, 2), and the few
     comparisons that sort them give its count: 1, or 3 or 4; any other such
-    write is counted by ``_chain_comparisons`` from its runs as gathered,
-    before one sort orders them.  An ``insert_many`` block, and each rank
-    ``compact`` writes, is sorted, not merged pairwise: one merge, ``2**r``
-    moves and no comparisons.  Beyond writes, an insert into rank 0 and a
-    delete move one slot each, and a demotion counts one ``demotes``.
-    Bridge builds are numpy work and charge nothing.  ``from_values``
-    leaves every counter at 0.
+    write is counted by ``_chain_comparisons`` from its runs as gathered in
+    the destination, before one sort orders them.  An ``insert_many`` block,
+    and each rank ``compact`` writes, is sorted, not merged pairwise: one
+    merge, ``2**r`` moves and no comparisons.  Beyond writes, an insert into
+    rank 0 and a delete move one slot each, and a demotion counts one
+    ``demotes``.  Bridge builds are numpy work and charge nothing.
+    ``from_values`` leaves every counter at 0.
     """
 
     comparisons: int = 0
@@ -132,13 +132,14 @@ class Stats:
     capacity: int
 
 
-def _chain_comparisons(runs, counts, start=0) -> int:
+def _chain_comparisons(runs, counts, start) -> int:
     """Comparisons of merging sorted runs pairwise, each merge charged what
     a two-pointer merge compares (ties drawn from the runs merged so far,
     the tail left when one run is exhausted copied for free): the first run
-    with the second, the result with the third, and so on.  The runs lie
-    back to back in ``runs`` from ``start``, none empty, with the lengths
-    ``counts``.  With ``C`` the
+    with the second, the result with the third, and so on.  ``_write``
+    passes the slot view as ``runs`` and its destination's first slot as
+    ``start``, from which the runs lie back to back, none empty, with the
+    lengths ``counts``.  With ``C`` the
     runs merged so far and ``W`` the next, a merge costs ``|C| +
     bisect_left(W, max C)`` when ``max C <= max W``, else ``|W| + #(C <=
     max W)``, which bisects only the runs of ``C`` ending above ``max W``."""
@@ -215,9 +216,6 @@ class BlackWhiteArray:
     ``2**cap_exp`` slots of which ``2**cap_exp - 1`` are usable.
     """
 
-    # segment length at or below which writes sort a list: numpy's cost
-    # per call pays from 32 slots, in a stream of inserts and deletes
-    _SMALL_MERGE = 16
     _LOOKAHEAD = 16   # slots of a lower segment per bridge entry (a power of 2)
     _BRIDGED = 1 << 14  # segments of more slots get a bridge, see _bridge
 
@@ -714,36 +712,20 @@ class BlackWhiteArray:
             counts = occ[low:rank]          # none: the run alone
             n = sum(counts)
             voids = n < s - a               # a source slot is void
-            if counts and s <= self._SMALL_MERGE:  # gathered in a list
-                wv, mask = self._wv, self._mask
-                vals = [wv[s]] if k == 1 else wv[s:s + k].tolist()
-                src = wv[a:s].tolist()
-                vals += compress(src, mask[a:s]) if voids else src
+            white, wmask = self._white, self._wmask
+            n += k
+            if counts:                      # gathered behind the run, the
+                white[s + k:s + n] = (      # mask read only over a void
+                    white[a:s][wmask[a:s]] if voids else white[a:s])
                 if chain:
-                    cmp = _chain_comparisons(vals, [k, *counts])
-                vals.sort()
-                n += k
-                for i, v in enumerate(vals, s):
-                    wv[i] = v
-                    mask[i] = 1
-                for i in range(s + n, s << 1):  # the void tail
-                    wv[i] = v
-                    mask[i] = 0
-            else:
-                white, wmask = self._white, self._wmask
-                n += k
-                if counts:                  # gathered behind the run, the
-                    white[s + k:s + n] = (      # mask read only over a void
-                        white[a:s][wmask[a:s]] if voids else white[a:s])
-                    if chain:
-                        cmp = _chain_comparisons(self._wv, [k, *counts], s)
-                    self._sort(white[s:s + n], chain)
-                elif not chain:             # a lone sorted run is in order
-                    self._sort(white[s:s + n], False)
-                wmask[s:s + n] = True
-                if n < s:                   # the void tail
-                    white[s + n:s << 1] = white[s + n - 1]
-                    wmask[s + n:s << 1] = False
+                    cmp = _chain_comparisons(self._wv, [k, *counts], s)
+                self._sort(white[s:s + n], chain)
+            elif not chain:                 # a lone sorted run is in order
+                self._sort(white[s:s + n], False)
+            wmask[s:s + n] = True
+            if n < s:                       # the void tail
+                white[s + n:s << 1] = white[s + n - 1]
+                wmask[s + n:s << 1] = False
             occ[low:rank] = [0] * (rank - low)
         occ[rank] = n
         self._total = self._total & ~(s - a) | s

@@ -149,6 +149,21 @@ class TestCsv:
                            r"\('size_exp', 'op', 'ns_per_op'\)"):
             read_csv(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"out\.csv, line 1: empty file"):
+            read_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv([BenchRow(10, "insert", "perfect", 0.5, 123.25, 9.5)], path)
+        with open(path, "a") as fh:
+            fh.write("11,search,perfect,0.5\n")
+        with pytest.raises(ValueError,
+                           match=r"out\.csv, line 3: 4 fields, not 6"):
+            read_csv(path)
+
     def test_unwritable_destination_reports_path(self, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
         with pytest.raises(OSError, match="missing-dir"):

@@ -507,6 +507,28 @@ class TestBench:
                    "--out", "/no/such/dir/x.csv"])
         assert rc == 1
 
+    def test_unwritable_out_fails_before_the_sweep(self, monkeypatch, capsys):
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_bench", no_sweep)
+        rc = main(["bench", "--out", "/nonexistent/dir/x.csv"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "bwa bench: cannot write benchmark CSV to /nonexistent/dir/x.csv")
+
+    def test_failed_sweep_keeps_existing_out(self, monkeypatch, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_text("kept\n")
+
+        def failing(cfg):
+            raise MemoryError("sweep failed")
+
+        monkeypatch.setattr(cli, "run_bench", failing)
+        with pytest.raises(MemoryError):
+            main(["bench", "--out", str(out)])
+        assert out.read_text() == "kept\n"
+
 
 class TestFlagParsing:
     def test_missing_required_flag_exits_two(self):

@@ -145,8 +145,8 @@ class TestInsert:
              "5-sort-void-free"])
     def test_failed_write_leaves_state(self, monkeypatch, ranks, fail, voids):
         # total 2**ranks - 1: the next insert carries every active rank, into
-        # a segment of 8 or 16 slots (sorted as a list) or 32 (sorted by
-        # numpy), over ``voids`` voids in the top source segment
+        # a segment of 8, 16 or 32 slots, where the runs are gathered and
+        # sorted, over ``voids`` voids in the top source segment
         bwa = BlackWhiteArray(6, "fixed")
         for v in range((1 << ranks) - 1):
             bwa.insert(v * 7 % 31)
@@ -159,10 +159,11 @@ class TestInsert:
         def failing(*args, **kwargs):
             raise MemoryError("write failed")
 
-        def count_then_fail(runs, counts, start=0):
-            # every value is gathered, in the destination itself on the
-            # numpy branch, and the carried value still leads, unsorted
-            assert isinstance(runs, list) == (ranks < 5)
+        def count_then_fail(runs, counts, start):
+            # every value is gathered in the destination itself, read
+            # through the slot view, and the carried value still leads,
+            # unsorted
+            assert runs is bwa._wv and start == 1 << ranks
             gathered = runs[start:start + sum(counts)]
             assert sorted(gathered) == sorted(before[3] + [100])
             assert gathered[0] == 100
@@ -207,12 +208,9 @@ class TestWriteUnit:
         assert seg == sorted(seg)
         assert seg[n:] == [seg[n - 1]] * ((1 << rank) - n)
 
-    @pytest.fixture(params=["list", "array"])
-    def bwa(self, request):
-        bwa = BlackWhiteArray(5, "fixed")
-        if request.param == "array":
-            bwa._SMALL_MERGE = 0
-        return bwa
+    @pytest.fixture
+    def bwa(self):
+        return BlackWhiteArray(5, "fixed")
 
     def test_void_skipping_and_top_padding(self, bwa):
         bwa._white[4:8] = [21, 77, 80, 91]  # 80 deleted: the value stays
@@ -295,25 +293,6 @@ class TestWriteUnit:
         assert bwa.total == 8 and bwa.occupancy == (0, 0, 0, 5, 0)
         assert bwa.counters.comparisons == 0
         assert bwa.validate() == []
-
-    def test_list_and_array_writes_agree(self):
-        # the writer picks list or numpy sorting by segment size; either
-        # choice must give the same slots and the same counters
-        rng = random.Random(6)
-        ops = [(rng.random() < 0.3, rng.randrange(300)) for _ in range(3000)]
-        states = []
-        for small in (0, 1 << 12):
-            bwa = BlackWhiteArray(4)
-            bwa._SMALL_MERGE = small
-            for delete, v in ops:
-                if delete:
-                    bwa.delete(v)
-                else:
-                    bwa.insert(v)
-            assert bwa.validate() == []
-            states.append((bwa._white.tolist(), bwa._wmask.tolist(),
-                           bwa.counters))
-        assert states[0] == states[1]
 
 
 class TestCapacity:
