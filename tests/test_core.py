@@ -208,9 +208,11 @@ class TestWriteUnit:
         assert seg == sorted(seg)
         assert seg[n:] == [seg[n - 1]] * ((1 << rank) - n)
 
-    @pytest.fixture
-    def bwa(self):
-        return BlackWhiteArray(5, "fixed")
+    @pytest.fixture(params=["int64", "float64"])
+    def bwa(self, request):
+        # float slots take _sort's float forms: the stable merge of runs
+        # and the zero write-back of an unsorted batch
+        return BlackWhiteArray(5, "fixed", dtype=request.param)
 
     def test_void_skipping_and_top_padding(self, bwa):
         bwa._white[4:8] = [21, 77, 80, 91]  # 80 deleted: the value stays
