@@ -410,11 +410,17 @@ class BlackWhiteArray:
 
     def extract_min(self):
         """Remove and return the smallest value, or None when empty."""
-        return self._extract(largest=False)
+        k, x = self._first()
+        if k:
+            self._delete_at(k)
+        return x
 
     def extract_max(self):
         """Remove and return the largest value, or None when empty."""
-        return self._extract(largest=True)
+        k, x = self._last()
+        if k:
+            self._delete_at(k)
+        return x
 
     # -- queries ------------------------------------------------------------
 
@@ -461,19 +467,19 @@ class BlackWhiteArray:
 
     def minimum(self):
         """Smallest stored value, or None when empty."""
-        return self._value(self._extreme(largest=False))
+        return self._first()[1]
 
     def maximum(self):
         """Largest stored value, or None when empty."""
-        return self._value(self._extreme(largest=True))
+        return self._last()[1]
 
     def lower_bound(self, value):
         """Smallest stored value strictly greater than ``value``, or None."""
-        return self._value(self._nearest(True, value))
+        return self._nearest(True, value)
 
     def upper_bound(self, value):
         """Largest stored value strictly smaller than ``value``, or None."""
-        return self._value(self._nearest(False, value))
+        return self._nearest(False, value)
 
     def interval(self, lo, hi) -> list:
         """All stored values in ``[lo, hi]`` ascending, duplicates included."""
@@ -862,20 +868,17 @@ class BlackWhiteArray:
         elif occ << 1 <= 1 << rank:
             self._demote(rank)
 
-    def _value(self, idx: Optional[int]):
-        return None if idx is None else self._wv[idx]
-
-    def _nearest(self, above: bool, value) -> Optional[int]:
-        """Slot of the smallest stored value ``> value`` (``above``) or the
-        largest ``< value``, or None.  Ranks are walked highest first, so a
-        tie goes to the later candidate: the lower rank."""
+    def _nearest(self, above: bool, value):
+        """The smallest stored value ``> value`` (``above``) or the largest
+        ``< value``, or None.  Ranks are walked highest first, so a tie goes
+        to the later candidate: the lower rank."""
         t = self._total
         wv, mask, links = self._wv, self._mask, self._links
         bridged = self._BRIDGED
         if type(value) is not int and type(value) is not float:
             value = _plain(value)
         bisect = bisect_right if above else bisect_left
-        best = best_value = None
+        best = None
         cmp = i = 0
         while t:
             s, e, c = _SPANS[t.bit_length() - 1]
@@ -908,40 +911,57 @@ class BlackWhiteArray:
             x = wv[k]
             if best is not None:
                 cmp += 1
-                if (x > best_value) if above else (x < best_value):
+                if (x > best) if above else (x < best):
                     continue
-            best, best_value = k, x
+            best = x
         self.counters.comparisons += cmp
         return best
 
-    def _extreme(self, largest: bool) -> Optional[int]:
-        """Slot of the smallest stored value (the largest, with
-        ``largest``), or None when empty: the first (last) occupied slot of
-        every active segment, folded as ``_nearest`` folds, with no
-        bisection.  An active segment always holds an occupied slot."""
+    def _first(self) -> tuple:
+        """Slot and value of the smallest stored value, or ``(0, None)``
+        when empty (slot 0 is never used): the first occupied slot of every
+        active segment, highest rank first, with no bisection, folded with a
+        tie to the later candidate, the lower rank, as ``_nearest`` folds.
+        The top segment's candidate starts the fold, so the loop tests
+        neither a direction nor a first candidate.  Charged 1 comparison
+        per fold, one fewer than the active segments.  An active segment
+        always holds an occupied slot."""
         t = self._total
+        if not t:
+            return 0, None
+        self.counters.comparisons += t.bit_count() - 1
         wv, mask = self._wv, self._mask
-        find = mask.rfind if largest else mask.find
-        best = best_value = None
-        cmp = 0
+        s, e, _ = _SPANS[t.bit_length() - 1]
+        t ^= s
+        best = s if mask[s] else mask.find(1, s, e)
+        value = wv[best]
         while t:
             s, e, _ = _SPANS[t.bit_length() - 1]
             t ^= s
-            k = e - 1 if largest else s
-            if not mask[k]:
-                k = find(1, s, e)
+            k = s if mask[s] else mask.find(1, s, e)
             x = wv[k]
-            if best is not None:
-                cmp += 1
-                if (x < best_value) if largest else (x > best_value):
-                    continue
-            best, best_value = k, x
-        self.counters.comparisons += cmp
-        return best
+            if x <= value:
+                best, value = k, x
+        return best, value
 
-    def _extract(self, largest: bool):
-        idx = self._extreme(largest)
-        value = self._value(idx)
-        if idx is not None:
-            self._delete_at(idx)
-        return value
+    def _last(self) -> tuple:
+        """Slot and value of the largest stored value, or ``(0, None)``
+        when empty: the last occupied slot of every active segment, walked,
+        folded and charged as in ``_first``, a tie to the lower rank."""
+        t = self._total
+        if not t:
+            return 0, None
+        self.counters.comparisons += t.bit_count() - 1
+        wv, mask = self._wv, self._mask
+        s, e, _ = _SPANS[t.bit_length() - 1]
+        t ^= s
+        best = e - 1 if mask[e - 1] else mask.rfind(1, s, e)
+        value = wv[best]
+        while t:
+            s, e, _ = _SPANS[t.bit_length() - 1]
+            t ^= s
+            k = e - 1 if mask[e - 1] else mask.rfind(1, s, e)
+            x = wv[k]
+            if x >= value:
+                best, value = k, x
+        return best, value

@@ -1,5 +1,7 @@
+import copy
 import random
 
+import numpy as np
 import pytest
 
 from bwa import BlackWhiteArray
@@ -100,6 +102,42 @@ class TestExtract:
         assert bwa.search(ordered[-1]) is None
         assert list(bwa) == rest
         assert bwa.validate() == []
+
+
+def _zero_signs(bwa):
+    """Signs of the zeros in the occupied slots, highest rank first: True
+    for -0.0."""
+    return [bool(np.signbit(x)) for r in range(bwa.cap_exp - 1, -1, -1)
+            if bwa.is_active(r) for x in bwa.segment_slots(r) if x == 0]
+
+
+class TestSignedZeroTies:
+    """-0.0 == 0.0, so only the sign shows which rank a tied extreme came
+    from: the lower rank's zero wins, and an extract voids that slot."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("low", [-0.0, 0.0], ids=["low-neg", "low-pos"])
+    @pytest.mark.parametrize("ranks", [(1, 0), (2, 1)],
+                             ids=["ranks-1-0", "ranks-2-1"])
+    def test_lower_rank_zero_wins(self, dtype, low, ranks):
+        high = -low
+        top, bottom = ranks
+        bwa = BlackWhiteArray(4, dtype=dtype)
+        bwa.insert_many([high] * (1 << top))
+        bwa.insert_many([low] * (1 << bottom))
+        neg = bool(np.signbit(low))
+        signs = [not neg] * (1 << top) + [neg] * (1 << bottom)
+        assert [r for r in range(4) if bwa.is_active(r)] == [bottom, top]
+        assert _zero_signs(bwa) == signs
+        for peek in (bwa.minimum, bwa.maximum):
+            x = peek()
+            assert x == 0 and np.signbit(x) == neg
+        for extract in ("extract_min", "extract_max"):
+            twin = copy.deepcopy(bwa)
+            x = getattr(twin, extract)()
+            assert x == 0 and np.signbit(x) == neg
+            assert sorted(_zero_signs(twin)) == sorted(signs[:-1])
+            assert twin.validate() == []
 
 
 class TestBounds:

@@ -6,7 +6,9 @@ bounds and intervals over a small, duplicate-heavy domain, so void runs,
 padded void tails and ties all occur.  Values are checked against
 ``ReferenceModel``; the slots that ``search``, ``delete`` and the
 extractions pick, and the comparisons bounds and extremes are charged,
-are checked against naive specs read from the raw slots.  ``validate()`` after every step rechecks
+are checked against naive specs read from the raw slots, and each
+extraction's counters against a copy that voids the spec's slot, plus one
+comparison per fold.  ``validate()`` after every step rechecks
 the bridges every writer leaves.  The int64 and float64 machines run the
 class as it is.  The others run ``Narrow``, whose small states already
 bisect through bridges: int64, uint64, float32, and int64 under the fixed
@@ -183,6 +185,8 @@ class QuerySurface(RuleBasedStateMachine):
     @rule(largest=st.booleans())
     def extract(self, largest):
         slot = spec_extreme(self.bwa, largest)
+        # one fold per active segment after the first, and no bisection
+        folds = max(len(list(_active(self.bwa))) - 1, 0)
         twin = copy.deepcopy(self.bwa)
         if slot is not None:
             twin._delete_at(slot)          # void exactly the slot the spec names
@@ -192,6 +196,8 @@ class QuerySurface(RuleBasedStateMachine):
             got, want = self.bwa.extract_min(), self.model.extract_min()
         assert got == want
         assert _layout(self.bwa) == _layout(twin)
+        assert vars(self.bwa.counters) == vars(twin.counters) | {
+            "comparisons": twin.counters.comparisons + folds}
 
     def charged(self, query, *args):
         """The result of a query and the comparisons it was charged."""
