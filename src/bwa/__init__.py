@@ -4,8 +4,7 @@ Exports the structure itself, the reference-model verification harness, and
 the benchmark machinery; the ``bwa`` console script wraps all three.
 """
 
-from .bench import (BenchConfig, BenchRow, read_csv, run_bench,
-                    run_insert_bench, run_probe_bench, write_csv)
+from .bench import BenchConfig, BenchRow, read_csv, run_bench, write_csv
 from .core import (BlackWhiteArray, CapacityExceeded, Counters, GrowthPolicy,
                    Stats)
 from .oracle import (DEFAULT_MIX, Divergence, OpRecord, ReferenceModel,
@@ -17,5 +16,5 @@ __all__ = [
     "BenchConfig", "BenchRow", "BlackWhiteArray", "CapacityExceeded",
     "Counters", "DEFAULT_MIX", "Divergence", "GrowthPolicy", "OpRecord",
     "ReferenceModel", "Stats", "generate_ops", "read_csv", "run_bench",
-    "run_equivalence", "run_insert_bench", "run_probe_bench", "write_csv",
+    "run_equivalence", "write_csv",
 ]

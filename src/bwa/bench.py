@@ -1,6 +1,10 @@
 """Amortized-cost measurement: per-size timing and comparison counts for
 insert, search, and delete, written out as CSV.
 
+``run_bench`` is the one sweep: one loop over the sizes per op kind, with
+``_insert_rows`` timing inserts and ``_probe_rows`` searches and deletes in
+either config, and one path that skips a size numpy cannot allocate.
+
 Methodology notes baked in here:
   - workload values are pre-generated and structures pre-built outside every
     timed region, and timed regions run with the GC paused;
@@ -63,6 +67,8 @@ class BenchConfig:
         bad = set(self.ops) - set(OPS)
         if bad or not self.ops:
             raise ValueError(f"ops must be a non-empty subset of {OPS}")
+        if len(set(self.ops)) != len(self.ops):
+            raise ValueError(f"ops name an op twice: {self.ops}")
         if self.config not in CONFIGS:
             raise ValueError(f"config must be one of {CONFIGS}")
         if self.trials < 1:
@@ -91,7 +97,7 @@ def _stored_values(rng: np.random.Generator, count: int, size_exp: int) -> np.nd
 def _probe_values(rng: np.random.Generator, stored: np.ndarray, count: int,
                   hit_ratio: float, size_exp: int) -> list[int]:
     miss = (rng.integers(0, 4 << size_exp, count, dtype=np.int64) << 1) + 1
-    if hit_ratio <= 0.0 or stored.size == 0:
+    if hit_ratio <= 0.0:
         return miss.tolist()
     hit = rng.choice(stored, size=count)
     if hit_ratio >= 1.0:
@@ -139,99 +145,65 @@ def _timed_probes(bwa: BlackWhiteArray, op: str, probes: list[int]) -> tuple[int
     return elapsed, (bwa.counters.comparisons - before) // repeats
 
 
-def run_insert_bench(cfg: BenchConfig) -> list[BenchRow]:
-    """Time 2**m inserts into a fresh structure for each size in the sweep."""
-    rows = []
-    rng = np.random.default_rng(cfg.seed)
-    for m in range(cfg.min_exp, cfg.max_exp + 1):
-        try:
-            n = 1 << m
-            values = _stored_values(rng, n, m).tolist()
-            bwa = BlackWhiteArray(m + 1, GrowthPolicy.FIXED)
-            elapsed, cmps = _timed_probes(bwa, "insert", values)
-            rows.append(BenchRow(m, "insert", cfg.config, cfg.hit_ratio,
-                                 elapsed / n, cmps / n))
-        except (MemoryError, ValueError) as exc:  # numpy: no room, too big
-            print(f"insert bench: cannot allocate 2^{m} ({exc}), size skipped",
-                  file=sys.stderr)
-    return rows
-
-
-def _perfect_rows(cfg: BenchConfig, m: int, rng: np.random.Generator,
-                  ops: list[str]) -> list[BenchRow]:
-    n = 1 << m
-    stored = _stored_values(rng, n, m)
-    probe_count = cfg.probes or _PERFECT_PROBES
-    rows = []
-    for op in ops:
-        probes = _probe_values(rng, stored, probe_count, cfg.hit_ratio, m)
-        if op == "search":
-            bwa = _paper_state(stored, m + 1)
-            elapsed, cmps = _timed_probes(bwa, op, probes)
-            count = len(probes)
-        else:
-            # cap hit deletes per batch below half the segment so the state
-            # keeps exactly 2**m slots throughout; rebuild between batches
-            batch = max(1, n >> 2)
-            elapsed = cmps = count = 0
-            for i in range(0, len(probes), batch):
-                chunk = probes[i:i + batch]
-                bwa = _paper_state(stored, m + 1)
-                d, c = _timed_probes(bwa, op, chunk)
-                elapsed += d
-                cmps += c
-                count += len(chunk)
-        rows.append(BenchRow(m, op, "perfect", cfg.hit_ratio,
-                             elapsed / count, cmps / count))
-    return rows
-
-
-def _random_rows(cfg: BenchConfig, m: int, rng: np.random.Generator,
+def _insert_rows(cfg: BenchConfig, m: int, rng: np.random.Generator,
                  ops: list[str]) -> list[BenchRow]:
-    probe_count = cfg.probes or _RANDOM_PROBES
-    acc = {op: [0, 0, 0] for op in ops}    # elapsed, op count, comparisons
-    for _ in range(cfg.trials):
-        total = int(rng.integers(1, 1 << m))
+    """Time 2**m inserts into a fresh structure of capacity m + 1."""
+    n = 1 << m
+    values = _stored_values(rng, n, m).tolist()
+    bwa = BlackWhiteArray(m + 1, GrowthPolicy.FIXED)
+    elapsed, cmps = _timed_probes(bwa, "insert", values)
+    return [BenchRow(m, "insert", cfg.config, cfg.hit_ratio,
+                     elapsed / n, cmps / n)]
+
+
+def _probe_rows(cfg: BenchConfig, m: int, rng: np.random.Generator,
+                ops: list[str]) -> list[BenchRow]:
+    """Time each of ``ops`` at size 2**m.  "perfect" is one trial at exactly
+    2**m slots, capacity m + 1, whose deletes run on a fresh build every
+    max(1, 2**m >> 2) probes so no batch can demote.  "random" pools
+    ``cfg.trials`` random slot counts, capacity m, one build per op."""
+    perfect = cfg.config == "perfect"
+    trials, default_probes = (1, _PERFECT_PROBES) if perfect else (
+        cfg.trials, _RANDOM_PROBES)
+    probe_count = cfg.probes or default_probes
+    acc = {op: [0, 0] for op in ops}    # elapsed, comparisons
+    for _ in range(trials):
+        total = 1 << m if perfect else int(rng.integers(1, 1 << m))
         stored = _stored_values(rng, total, m)
         for op in ops:
             probes = _probe_values(rng, stored, probe_count, cfg.hit_ratio, m)
-            bwa = _paper_state(stored, m)
-            d, c = _timed_probes(bwa, op, probes)
-            bucket = acc[op]
-            bucket[0] += d
-            bucket[1] += len(probes)
-            bucket[2] += c
-    return [BenchRow(m, op, "random", cfg.hit_ratio,
-                     acc[op][0] / acc[op][1], acc[op][2] / acc[op][1])
-            for op in ops]
-
-
-def run_probe_bench(cfg: BenchConfig) -> list[BenchRow]:
-    """Measure amortized search/delete at each size under the configured
-    structure states and hit ratio."""
-    ops = [op for op in cfg.ops if op in ("search", "delete")]
-    if not ops:
-        return []
-    rows = []
-    rng = np.random.default_rng(cfg.seed)
-    for m in range(cfg.min_exp, cfg.max_exp + 1):
-        try:
-            if cfg.config == "perfect":
-                rows.extend(_perfect_rows(cfg, m, rng, ops))
-            else:
-                rows.extend(_random_rows(cfg, m, rng, ops))
-        except (MemoryError, ValueError) as exc:  # numpy: no room, too big
-            print(f"probe bench: cannot allocate 2^{m} ({exc}), size skipped",
-                  file=sys.stderr)
-    return rows
+            batch = probe_count
+            if perfect and op == "delete":
+                batch = max(1, total >> 2)
+            for i in range(0, probe_count, batch):
+                bwa = _paper_state(stored, m + 1 if perfect else m)
+                d, c = _timed_probes(bwa, op, probes[i:i + batch])
+                acc[op][0] += d
+                acc[op][1] += c
+    count = trials * probe_count
+    return [BenchRow(m, op, cfg.config, cfg.hit_ratio, d / count, c / count)
+            for op, (d, c) in acc.items()]
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
-    """Full sweep for the configured ops: inserts first, then probes."""
+    """Sweep the configured ops: all insert rows by size, then the search
+    and delete rows by size in ``cfg.ops`` order.  Each kind draws from its
+    own generator seeded with ``cfg.seed``.  A size numpy cannot allocate is
+    skipped with a line on stderr."""
+    insert_ops = [op for op in cfg.ops if op == "insert"]
+    probe_ops = [op for op in cfg.ops if op != "insert"]
     rows = []
-    if "insert" in cfg.ops:
-        rows.extend(run_insert_bench(cfg))
-    rows.extend(run_probe_bench(cfg))
+    for kind, ops, measure in (("insert", insert_ops, _insert_rows),
+                               ("probe", probe_ops, _probe_rows)):
+        if not ops:
+            continue
+        rng = np.random.default_rng(cfg.seed)
+        for m in range(cfg.min_exp, cfg.max_exp + 1):
+            try:
+                rows.extend(measure(cfg, m, rng, ops))
+            except (MemoryError, ValueError) as exc:  # numpy: no room, too big
+                print(f"{kind} bench: cannot allocate 2^{m} ({exc}), "
+                      "size skipped", file=sys.stderr)
     return rows
 
 

@@ -117,11 +117,7 @@ class Counters:
     grows: int = 0
 
     def reset(self) -> None:
-        self.comparisons = 0
-        self.moves = 0
-        self.merges = 0
-        self.demotes = 0
-        self.grows = 0
+        self.__init__()     # every field back to its default
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from bwa import BenchConfig, BlackWhiteArray, generate_ops, run_equivalence
-from bwa.bench import run_insert_bench, run_probe_bench
+from bwa import (BenchConfig, BlackWhiteArray, generate_ops, run_bench,
+                 run_equivalence)
 from bwa.cli import main
 
 from conftest import owned_bytes
@@ -141,13 +141,13 @@ def test_search_comparison_counters():
     hit_cfg = BenchConfig(min_exp=16, max_exp=16, ops=("search",),
                           config="perfect", trials=1, hit_ratio=1.0,
                           seed=SEED)
-    hit_row = run_probe_bench(hit_cfg)[0]
+    hit_row = run_bench(hit_cfg)[0]
     assert hit_row.cmp_per_op <= 18.0, hit_row
 
     miss_cfg = BenchConfig(min_exp=16, max_exp=16, ops=("search",),
                            config="random", trials=1000, hit_ratio=0.0,
                            seed=SEED, probes=256)
-    miss_row = run_probe_bench(miss_cfg)[0]
+    miss_row = run_bench(miss_cfg)[0]
     assert miss_row.cmp_per_op <= 324.0, miss_row
 
     # at m=18 segments are large enough for bridges; bisecting every active
@@ -155,7 +155,7 @@ def test_search_comparison_counters():
     bridged_cfg = BenchConfig(min_exp=18, max_exp=18, ops=("search",),
                               config="random", trials=300, hit_ratio=0.0,
                               seed=SEED, probes=256)
-    bridged_row = run_probe_bench(bridged_cfg)[0]
+    bridged_row = run_bench(bridged_cfg)[0]
     assert bridged_row.cmp_per_op < 93.91, bridged_row
     _report("search-comparison-counters",
             f"perfect hit {hit_row.cmp_per_op:.2f} <= 18; random miss "
@@ -202,17 +202,17 @@ def test_occupancy_floor():
 
 def test_bench_scaling_trend():
     t0 = time.perf_counter()
-    insert_rows = run_insert_bench(BenchConfig(
+    insert_rows = run_bench(BenchConfig(
         min_exp=10, max_exp=22, ops=("insert",), config="perfect",
         trials=1, seed=SEED))
     ns = {r.size_exp: r.ns_per_op for r in insert_rows}
     insert_ratio = ns[22] / ns[10]
     assert insert_ratio <= 4.0, f"insert scaling ratio {insert_ratio:.2f}"
 
-    perfect = {r.size_exp: r.ns_per_op for r in run_probe_bench(BenchConfig(
+    perfect = {r.size_exp: r.ns_per_op for r in run_bench(BenchConfig(
         min_exp=10, max_exp=22, ops=("search",), config="perfect",
         trials=1, hit_ratio=0.5, seed=SEED, probes=2048))}
-    randomized = {r.size_exp: r.ns_per_op for r in run_probe_bench(BenchConfig(
+    randomized = {r.size_exp: r.ns_per_op for r in run_bench(BenchConfig(
         min_exp=10, max_exp=22, ops=("search",), config="random",
         trials=3, hit_ratio=0.5, seed=SEED, probes=512))}
     for m in range(10, 23):

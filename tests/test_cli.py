@@ -480,6 +480,14 @@ class TestBench:
         assert rc == 2
         assert "bwa bench" in capsys.readouterr().err
 
+    def test_repeated_op_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--ops", "search,search", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "bwa bench: ops name an op twice")
+        assert not out.exists()
+
     @pytest.mark.parametrize("exp", ["61", "70"])
     def test_exponent_beyond_int64_exits_two(self, tmp_path, capsys, exp):
         out = tmp_path / "x.csv"

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bwa import BlackWhiteArray, CapacityExceeded, GrowthPolicy, core
+from bwa import BlackWhiteArray, CapacityExceeded, Counters, GrowthPolicy, core
 
 from conftest import EIGHT, Narrow, owned_bytes
 from pairwise import merge_comparisons
@@ -37,8 +37,10 @@ class TestConstruction:
     def test_counters_reset_as_a_unit(self, eight_value_array):
         c = eight_value_array.counters
         assert c.comparisons > 0 and c.moves > 0 and c.merges > 0
+        c.demotes = c.grows = 1
         c.reset()
         assert (c.comparisons, c.moves, c.merges, c.demotes, c.grows) == (0,) * 5
+        assert c == Counters()
 
     def test_policy_accepts_strings(self):
         assert BlackWhiteArray(3, "grow").policy is GrowthPolicy.GROW

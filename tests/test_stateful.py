@@ -13,6 +13,8 @@ the bridges every writer leaves.  The int64 and float64 machines run the
 class as it is.  The others run ``Narrow``, whose small states already
 bisect through bridges: int64, uint64, float32, and int64 under the fixed
 policy, where an insert past capacity must leave the structure as it was.
+A ``sortedcontainers.SortedList`` runs beside the model as a second oracle:
+every answer and the drain after every rule must equal its answers too.
 """
 
 import copy
@@ -20,6 +22,7 @@ import copy
 import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from sortedcontainers import SortedList
 
 from bwa import BlackWhiteArray, CapacityExceeded, ReferenceModel
 from bwa.core import _layout as compact_layout
@@ -117,6 +120,7 @@ class QuerySurface(RuleBasedStateMachine):
         super().__init__()
         self.bwa = self.cls(self.cap_exp, self.policy, dtype=self.dtype)
         self.model = ReferenceModel()
+        self.sorted = SortedList()
 
     def _add(self, values, write):
         """Run ``write``; it adds ``values`` unless it raises
@@ -130,6 +134,7 @@ class QuerySurface(RuleBasedStateMachine):
             return
         for v in values:
             self.model.insert(v)
+        self.sorted.update(values)
 
     @rule(k=keys)
     def insert(self, k):
@@ -152,6 +157,7 @@ class QuerySurface(RuleBasedStateMachine):
                                         self.dtype)
         for k in ks:
             self.model.insert(self.value(k))
+        self.sorted.update(self.value(k) for k in ks)
 
     @rule()
     def compact(self):
@@ -174,6 +180,8 @@ class QuerySurface(RuleBasedStateMachine):
         expected = spec_search(self.bwa, v)
         assert self.bwa.delete(v) == expected
         assert self.model.delete(v) == (expected is not None)
+        assert (v in self.sorted) == (expected is not None)
+        self.sorted.discard(v)
 
     @rule(j=probe_keys)
     def search(self, j):
@@ -181,6 +189,7 @@ class QuerySurface(RuleBasedStateMachine):
         expected = spec_search(self.bwa, v)
         assert self.bwa.search(v) == expected
         assert self.model.contains(v) == (expected is not None)
+        assert (v in self.sorted) == (expected is not None)
 
     @rule(largest=st.booleans())
     def extract(self, largest):
@@ -194,7 +203,8 @@ class QuerySurface(RuleBasedStateMachine):
             got, want = self.bwa.extract_max(), self.model.extract_max()
         else:
             got, want = self.bwa.extract_min(), self.model.extract_min()
-        assert got == want
+        also = self.sorted.pop(-1 if largest else 0) if self.sorted else None
+        assert got == want == also
         assert _layout(self.bwa) == _layout(twin)
         assert vars(self.bwa.counters) == vars(twin.counters) | {
             "comparisons": twin.counters.comparisons + folds}
@@ -209,8 +219,12 @@ class QuerySurface(RuleBasedStateMachine):
     def extremes(self):
         # one fold per active segment after the first, and no bisection
         folds = max(len(list(_active(self.bwa))) - 1, 0)
-        assert self.charged(self.bwa.minimum) == (self.model.minimum(), folds)
-        assert self.charged(self.bwa.maximum) == (self.model.maximum(), folds)
+        low, high = (self.sorted[0], self.sorted[-1]) if self.sorted else (
+            None, None)
+        assert self.charged(self.bwa.minimum) == (
+            self.model.minimum(), folds) == (low, folds)
+        assert self.charged(self.bwa.maximum) == (
+            self.model.maximum(), folds) == (high, folds)
 
     @rule(j=probe_keys)
     def bounds(self, j):
@@ -218,25 +232,31 @@ class QuerySurface(RuleBasedStateMachine):
         # candidate
         v = self.probe(j)
         ranks = list(_active(self.bwa))
-        for query, want, beyond, right in (
-                (self.bwa.lower_bound, self.model.lower_bound(v), lambda x: x > v,
-                 True),
-                (self.bwa.upper_bound, self.model.upper_bound(v), lambda x: x < v,
-                 False)):
+        i, k = self.sorted.bisect_left(v), self.sorted.bisect_right(v)
+        successor = self.sorted[k] if k < len(self.sorted) else None
+        predecessor = self.sorted[i - 1] if i else None
+        for query, want, also, beyond, right in (
+                (self.bwa.lower_bound, self.model.lower_bound(v), successor,
+                 lambda x: x > v, True),
+                (self.bwa.upper_bound, self.model.upper_bound(v), predecessor,
+                 lambda x: x < v, False)):
             found = sum(any(x is not None and beyond(x)
                             for x in self.bwa.segment_slots(r)) for r in ranks)
             charge = spec_bisections(self.bwa, v, right) + max(found - 1, 0)
-            assert self.charged(query, v) == (want, charge)
+            assert self.charged(query, v) == (want, charge) == (also, charge)
 
     @rule(i=probe_keys, j=probe_keys)
     def interval(self, i, j):
         lo, hi = sorted((self.probe(i), self.probe(j)))
-        assert self.bwa.interval(lo, hi) == self.model.interval(lo, hi)
+        got = self.bwa.interval(lo, hi)
+        assert got == self.model.interval(lo, hi)
+        assert got == list(self.sorted.irange(lo, hi))
 
     @invariant()
     def sound(self):
         assert self.bwa.validate() == []
         assert len(self.bwa) == len(self.model)
+        assert list(self.bwa) == list(self.sorted) == self.model.values
 
 
 class NarrowQuerySurface(QuerySurface):
