@@ -46,7 +46,9 @@ class BenchConfig:
     ``config`` picks structure states: "perfect" measures at exactly 2**m
     slots (a single active segment); "random" averages over ``trials``
     uniformly random slot counts in [1, 2**m - 1].  ``probes`` overrides the
-    per-measurement probe count (defaults depend on the config).
+    per-measurement probe count (defaults depend on the config).  Insert
+    rows time the same 2**m inserts from empty for every config and hit
+    ratio; their ``config`` and ``hit_ratio`` columns only echo the sweep.
     """
 
     min_exp: int
@@ -147,7 +149,9 @@ def _timed_probes(bwa: BlackWhiteArray, op: str, probes: list[int]) -> tuple[int
 
 def _insert_rows(cfg: BenchConfig, m: int, rng: np.random.Generator,
                  ops: list[str]) -> list[BenchRow]:
-    """Time 2**m inserts into a fresh structure of capacity m + 1."""
+    """Time 2**m inserts into a fresh structure of capacity m + 1.  The
+    inserts are the same for every config, trial count and hit ratio: the
+    row's ``config`` and ``hit_ratio`` only echo the sweep's."""
     n = 1 << m
     values = _stored_values(rng, n, m).tolist()
     bwa = BlackWhiteArray(m + 1, GrowthPolicy.FIXED)

@@ -86,10 +86,11 @@ class Counters:
     (1) when that slot is a void holding the probe.  Bounds and extremes
     charge 1 per fold of two segments' candidates.  An interval charges 1
     for its early-out test of ``hi`` against the slot at the ``lo``
-    bisection point.  When that test passes, ``hi`` is bisected over the
-    ``_LOOKAHEAD`` slots from that point, and over the rest of the segment
-    only when the range runs past them.  ``moves`` counts slot writes, void
-    padding included.  ``grows`` counts capacity doublings.
+    bisection point.  When that test passes, ``hi`` is charged as a
+    bisection over the window of ``_LOOKAHEAD`` slots from that point (a
+    range that ends inside it is read slot by slot), and over the rest of
+    the segment only when the range runs past it.  ``moves`` counts slot
+    writes, void padding included.  ``grows`` counts capacity doublings.
 
     Every write of a run of ``k`` values into rank ``r``, together with the
     ranks ``low .. r - 1`` it clears, is charged by one rule.  A scalar
@@ -509,9 +510,17 @@ class BlackWhiteArray:
             if hi < wv[i]:                  # nothing of the segment in range
                 continue
             b = i + window if i + window < e else e
-            k = bisect_right(wv, hi, i, b)  # a narrow range ends in the window
-            cmp += (b - i).bit_length()
-            if k == b < e:
+            cmp += (b - i).bit_length()     # hi, as bisected over the window
+            if hi < wv[b - 1]:              # a narrow range ends in it: read
+                k, x = i, wv[i]             # up to the first slot above hi
+                while x <= hi:
+                    if mask[k]:
+                        out.append(x)
+                    k += 1
+                    x = wv[k]
+                continue
+            k = b
+            if b < e:
                 k = bisect_right(wv, hi, b, e)
                 cmp += (e - b).bit_length()
             out += compress(wv[i:k].tolist(), mask[i:k])

@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from sortedcontainers import SortedList
 
 from bwa import BlackWhiteArray
 
 from conftest import EIGHT, Narrow
+from test_stateful import spec_interval_charge
 
 
 def _after_demotion(demotion_ready_array):
@@ -219,6 +221,41 @@ class TestInterval:
         before = bwa.counters.comparisons
         assert bwa.interval(lo, hi) == list(range(lo, hi + 1, 2))
         assert bwa.counters.comparisons - before == charged
+
+    @pytest.mark.parametrize("last", ["i", "b-2", "b-1", "b", "e-1", "past"])
+    @pytest.mark.parametrize("voids", [False, True])
+    @pytest.mark.parametrize("dtype, hi", [
+        (np.int64, 0), (np.float64, 0.0), (np.float64, -0.0)])
+    def test_window_edges(self, last, voids, dtype, hi):
+        """One rank-5 segment with ``lo`` at slot ``i``: the range's last
+        value sits at a window edge, or the range runs past the segment,
+        and the window's first and last slots may be voids.  A float range
+        ends on a tie of -0.0 and 0.0."""
+        i, b, e = 4, 4 + BlackWhiteArray._LOOKAHEAD, 32
+        p = {"i": i, "b-2": b - 2, "b-1": b - 1, "b": b,
+             "e-1": e - 1, "past": e - 1}[last]
+        values = [dtype(k - p).item() for k in range(e)]  # slot p holds 0
+        if dtype is np.float64 and p > i:
+            values[p - 1] = -0.0
+        if last == "past":
+            hi += e
+        bwa = BlackWhiteArray.from_values(values, dtype=dtype)
+        assert bwa.total == e
+        lo = values[i]
+        stored = SortedList()
+        for k, v in enumerate(values):
+            if voids and k in (i, b - 1):
+                bwa._delete_at(e + k)
+            else:
+                stored.add(v)
+        # lo over 32 slots, the test of hi, the 16-slot window, and the 12
+        # slots after it when the window is all in range
+        charge = 6 + 1 + 5 + (4 if p >= b - 1 else 0)
+        assert spec_interval_charge(bwa, lo, hi) == charge
+        before = bwa.counters.comparisons
+        got = bwa.interval(lo, hi)
+        assert list(map(repr, got)) == list(map(repr, stored.irange(lo, hi)))
+        assert bwa.counters.comparisons - before == charge
 
     def test_window_with_voids(self, demotion_ready_array):
         bwa = demotion_ready_array

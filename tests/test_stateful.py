@@ -5,8 +5,8 @@ rebuilds, compactions, deletes, searches, extractions, extremes, both
 bounds and intervals over a small, duplicate-heavy domain, so void runs,
 padded void tails and ties all occur.  Values are checked against
 ``ReferenceModel``; the slots that ``search``, ``delete`` and the
-extractions pick, and the comparisons bounds and extremes are charged,
-are checked against naive specs read from the raw slots, and each
+extractions pick, and the comparisons bounds, extremes and intervals are
+charged, are checked against naive specs read from the raw slots, and each
 extraction's counters against a copy that voids the spec's slot, plus one
 comparison per fold.  ``validate()`` after every step rechecks
 the bridges every writer leaves.  The int64 and float64 machines run the
@@ -86,6 +86,29 @@ def spec_bisections(bwa, v, right):
                 hi = sum(x < samples[j] for x in seg)
         charged += (hi - lo).bit_length()
         upper = seg
+    return charged
+
+
+def spec_interval_charge(bwa, lo, hi):
+    """Comparisons an interval is charged: the bisections for ``lo``, then
+    per active rank, at its first slot ``i`` at or above ``lo`` (if any), 1
+    for the test of ``hi``.  When slot ``i`` is in range, ``hi`` is charged
+    as bisected over the window ``[i, b)`` of ``_LOOKAHEAD`` slots, cut at
+    the segment's end ``e``, and over ``[b, e)`` too when slot ``b - 1`` is
+    in range and ``b < e``."""
+    charged = spec_bisections(bwa, lo, False)
+    for r in _active(bwa, highest_first=True):
+        seg = bwa._white[1 << r:2 << r].tolist()
+        e = len(seg)
+        i = sum(x < lo for x in seg)
+        if i == e:
+            continue
+        charged += 1
+        if seg[i] <= hi:
+            b = min(i + bwa._LOOKAHEAD, e)
+            charged += (b - i).bit_length()
+            if seg[b - 1] <= hi and b < e:
+                charged += (e - b).bit_length()
     return charged
 
 
@@ -248,9 +271,11 @@ class QuerySurface(RuleBasedStateMachine):
     @rule(i=probe_keys, j=probe_keys)
     def interval(self, i, j):
         lo, hi = sorted((self.probe(i), self.probe(j)))
-        got = self.bwa.interval(lo, hi)
+        charge = spec_interval_charge(self.bwa, lo, hi)
+        got, charged = self.charged(self.bwa.interval, lo, hi)
         assert got == self.model.interval(lo, hi)
         assert got == list(self.sorted.irange(lo, hi))
+        assert charged == charge
 
     @invariant()
     def sound(self):
