@@ -407,17 +407,11 @@ class BlackWhiteArray:
 
     def extract_min(self):
         """Remove and return the smallest value, or None when empty."""
-        k, x = self._first()
-        if k:
-            self._delete_at(k)
-        return x
+        return self._first(True)
 
     def extract_max(self):
         """Remove and return the largest value, or None when empty."""
-        k, x = self._last()
-        if k:
-            self._delete_at(k)
-        return x
+        return self._last(True)
 
     # -- queries ------------------------------------------------------------
 
@@ -464,11 +458,11 @@ class BlackWhiteArray:
 
     def minimum(self):
         """Smallest stored value, or None when empty."""
-        return self._first()[1]
+        return self._first(False)
 
     def maximum(self):
         """Largest stored value, or None when empty."""
-        return self._last()[1]
+        return self._last(False)
 
     def lower_bound(self, value):
         """Smallest stored value strictly greater than ``value``, or None."""
@@ -922,18 +916,18 @@ class BlackWhiteArray:
         self.counters.comparisons += cmp
         return best
 
-    def _first(self) -> tuple:
-        """Slot and value of the smallest stored value, or ``(0, None)``
-        when empty (slot 0 is never used): the first occupied slot of every
-        active segment, highest rank first, with no bisection, folded with a
-        tie to the later candidate, the lower rank, as ``_nearest`` folds.
-        The top segment's candidate starts the fold, so the loop tests
-        neither a direction nor a first candidate.  Charged 1 comparison
-        per fold, one fewer than the active segments.  An active segment
-        always holds an occupied slot."""
+    def _first(self, remove: bool):
+        """The smallest stored value, or None when empty; its slot is voided
+        when ``remove`` is set.  The candidates are the first occupied slot
+        of every active segment, highest rank first, with no bisection,
+        folded with a tie to the later candidate, the lower rank, as
+        ``_nearest`` folds.  The top segment's candidate starts the fold,
+        so the loop tests neither a direction nor a first candidate.
+        Charged 1 comparison per fold, one fewer than the active segments.
+        An active segment always holds an occupied slot."""
         t = self._total
         if not t:
-            return 0, None
+            return None
         self.counters.comparisons += t.bit_count() - 1
         wv, mask = self._wv, self._mask
         s, e, _ = _SPANS[t.bit_length() - 1]
@@ -947,15 +941,18 @@ class BlackWhiteArray:
             x = wv[k]
             if x <= value:
                 best, value = k, x
-        return best, value
+        if remove:
+            self._delete_at(best)
+        return value
 
-    def _last(self) -> tuple:
-        """Slot and value of the largest stored value, or ``(0, None)``
-        when empty: the last occupied slot of every active segment, walked,
-        folded and charged as in ``_first``, a tie to the lower rank."""
+    def _last(self, remove: bool):
+        """The largest stored value, or None when empty; its slot is voided
+        when ``remove`` is set.  The candidates are the last occupied slot
+        of every active segment, walked, folded and charged as in
+        ``_first``, a tie to the lower rank."""
         t = self._total
         if not t:
-            return 0, None
+            return None
         self.counters.comparisons += t.bit_count() - 1
         wv, mask = self._wv, self._mask
         s, e, _ = _SPANS[t.bit_length() - 1]
@@ -969,4 +966,6 @@ class BlackWhiteArray:
             x = wv[k]
             if x >= value:
                 best, value = k, x
-        return best, value
+        if remove:
+            self._delete_at(best)
+        return value

@@ -24,8 +24,10 @@ class TestExtremes:
 
     def test_empty(self):
         bwa = BlackWhiteArray(4)
-        assert bwa.maximum() is None
-        assert bwa.minimum() is None
+        for query in (bwa.maximum, bwa.minimum, bwa.extract_min,
+                      bwa.extract_max):
+            assert query() is None
+            assert set(vars(bwa.counters).values()) == {0}
 
     def test_void_at_segment_top_skipped(self, demotion_ready_array):
         bwa = _after_demotion(demotion_ready_array)

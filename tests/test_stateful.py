@@ -240,14 +240,20 @@ class QuerySurface(RuleBasedStateMachine):
 
     @rule()
     def extremes(self):
-        # one fold per active segment after the first, and no bisection
+        # one fold per active segment after the first, and no bisection;
+        # neither query writes a slot or charges any other counter
         folds = max(len(list(_active(self.bwa))) - 1, 0)
         low, high = (self.sorted[0], self.sorted[-1]) if self.sorted else (
             None, None)
-        assert self.charged(self.bwa.minimum) == (
-            self.model.minimum(), folds) == (low, folds)
-        assert self.charged(self.bwa.maximum) == (
-            self.model.maximum(), folds) == (high, folds)
+        for query, want, also in (
+                (self.bwa.minimum, self.model.minimum(), low),
+                (self.bwa.maximum, self.model.maximum(), high)):
+            before = _snapshot(self.bwa)
+            counts = dict(vars(self.bwa.counters))
+            assert query() == want == also
+            assert _snapshot(self.bwa) == before
+            assert vars(self.bwa.counters) == counts | {
+                "comparisons": counts["comparisons"] + folds}
 
     @rule(j=probe_keys)
     def bounds(self, j):
