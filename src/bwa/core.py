@@ -83,7 +83,10 @@ class Counters:
     slots takes): ``r + 1`` for a whole rank-``r`` segment, less where a
     bridge narrows the window.  A search then compares the slot at the
     bisection point with the probe (1), and the next occupied slot as well
-    (1) when that slot is a void holding the probe.  Bounds and extremes
+    (1) when that slot is a void holding the probe.  A rank is charged so
+    without being bisected when the search filter rules the probe out of
+    it (``BlackWhiteArray.search``): ``r + 1``, and 1 more unless its last
+    slot is below the probe.  Bounds and extremes
     charge 1 per fold of two segments' candidates.  An interval charges 1
     for its early-out test of ``hi`` against the slot at the ``lo``
     bisection point.  When that test passes, ``hi`` is charged as a
@@ -107,8 +110,8 @@ class Counters:
     and each rank ``compact`` writes, is sorted, not merged pairwise: one
     merge, ``2**r`` moves and no comparisons.  Beyond writes, an insert into
     rank 0 and a delete move one slot each, and a demotion counts one
-    ``demotes``.  Bridge builds are numpy work and charge nothing.
-    ``from_values`` leaves every counter at 0.
+    ``demotes``.  Bridge builds and the search filter's upkeep charge
+    nothing.  ``from_values`` leaves every counter at 0.
     """
 
     comparisons: int = 0
@@ -184,11 +187,19 @@ def _layout(n: int, cap_exp: int) -> list[tuple[int, int]]:
 # r + 1, the charge of a bisection over the whole segment
 _SPANS = tuple((1 << r, 2 << r, r + 1) for r in range(64))
 
+# the ranks of fewer slots keep the values of their slots in a set, which
+# lets a search miss skip them (``BlackWhiteArray.search``); a class whose
+# bridges reach below this bound filters only the ranks below its bridged ones
+_FILTERED = 1 << 8
+
 
 def _plain(value):
-    """A numpy scalar as the Python scalar it equals.  Python compares an
-    int with a float exactly; numpy rounds the int to a float first."""
-    return value.item() if isinstance(value, np.generic) else value
+    """A numpy scalar or 0-d array as the Python scalar it equals, which
+    hashes as the equal Python number does.  Python compares an int with a
+    float exactly; numpy rounds the int to a float first."""
+    if isinstance(value, (np.generic, np.ndarray)) and not value.ndim:
+        return value.item()
+    return value
 
 
 def _index(i, name: str, lo: int, hi: int) -> int:
@@ -232,6 +243,10 @@ class BlackWhiteArray:
         self._build_views()
         self._occ = [0] * cap_exp       # occupied-slot count per white rank
         self._links = [None] * cap_exp  # bridge per white rank, see _bridge
+        # ranks of fewer slots than _small are filtered: _filter holds every
+        # value of their slots, voids and padding included (a superset)
+        self._small = min(_FILTERED, 1 << self._BRIDGED.bit_length())
+        self._filter = set()
         self._total = 0
         self.counters = Counters()
 
@@ -342,6 +357,9 @@ class BlackWhiteArray:
             self._white[s] = self._batch((value,))[0]
         if wv[s] != value:
             self._batch((value,))           # raises: the dtype changed value
+        if s < self._small:                 # a plain value as given, which
+            self._filter.add(               # holds no new object alive
+                value if type(value) is int or type(value) is float else wv[s])
         if s == 1:
             self._mask[1] = 1
             self._occ[0] = 1
@@ -391,7 +409,7 @@ class BlackWhiteArray:
         the rank's ``2**rank`` slots as moves, no comparisons."""
         fresh = type(self)(self.cap_exp, self.policy, self.dtype)
         fresh._fill(self._live())
-        for name in ("_white", "_mask", "_occ", "_links", "_total"):
+        for name in ("_white", "_mask", "_occ", "_links", "_filter", "_total"):
             setattr(self, name, getattr(fresh, name))
         self._build_views()
         self.counters.merges += fresh.counters.merges
@@ -419,40 +437,60 @@ class BlackWhiteArray:
         """White-array index of one occurrence of ``value``, or None.
 
         Active segments are probed from the highest rank down, which ends
-        sooner on average when a value is stored more than once.
+        sooner on average when a value is stored more than once.  Once
+        only the ranks below ``_small`` slots are left, a value their
+        filter does not hold is in none of their slots: each is charged
+        what its bisection and compare would be, and none is read but its
+        last slot.
         """
         if type(value) is not int and type(value) is not float:
             value = _plain(value)
         t = self._total
         wv, links, bridged = self._wv, self._links, self._BRIDGED
+        rest = t & (self._small - 1)        # the filtered ranks, walked last
+        t ^= rest
         cmp = i = 0
-        while t:
-            s, e, c = _SPANS[t.bit_length() - 1]
-            t ^= s
-            if s <= bridged or (link := links[c - 1]) is None:
-                i = bisect_left(wv, value, s, e)  # a small rank, or the top
-                cmp += c
-            else:                           # i is the rank above's point
-                m, base, shift = link
-                j = (i - base) >> shift
-                a, b = m[j], m[j + 1]
-                i = bisect_left(wv, value, a, b)
-                cmp += (b - a).bit_length()
-            if i == e:
-                continue
-            cmp += 1
-            if wv[i] != value:              # then every slot from i on is > value
-                continue
-            k = i
-            if not self._mask[k]:           # k is void: the first occupied
-                k = self._mask.find(1, k, e)  # slot after it may still match
-                if k < 0:
+        while True:
+            while t:
+                s, e, c = _SPANS[t.bit_length() - 1]
+                t ^= s
+                if s <= bridged or (link := links[c - 1]) is None:
+                    # a small rank, or the top
+                    i = bisect_left(wv, value, s, e)
+                    cmp += c
+                else:                       # i is the rank above's point
+                    m, base, shift = link
+                    j = (i - base) >> shift
+                    a, b = m[j], m[j + 1]
+                    i = bisect_left(wv, value, a, b)
+                    cmp += (b - a).bit_length()
+                if i == e:
                     continue
                 cmp += 1
-                if wv[k] != value:
+                if wv[i] != value:          # then every slot from i on is > value
                     continue
-            self.counters.comparisons += cmp
-            return k
+                k = i
+                if not self._mask[k]:       # k is void: the first occupied
+                    k = self._mask.find(1, k, e)  # slot after it may match
+                    if k < 0:
+                        continue
+                    cmp += 1
+                    if wv[k] != value:
+                        continue
+                self.counters.comparisons += cmp
+                return k
+            if not rest:
+                break
+            if value not in self._filter:
+                # in none of their slots: each is charged its bisection,
+                # and the compare where bisect_left stops, before e unless
+                # slot e - 1 is below value
+                while rest:
+                    s, e, c = _SPANS[rest.bit_length() - 1]
+                    rest ^= s
+                    cmp += c + (not wv[e - 1] < value)
+                break
+            t, rest = rest, 0
         self.counters.comparisons += cmp
         return None
 
@@ -574,6 +612,11 @@ class BlackWhiteArray:
             seg = self._white[s:s << 1]
             if not bool((seg[1:] >= seg[:-1]).all()):
                 problems.append(f"rank {rank}: slots not sorted (voids included)")
+            if s < self._small:
+                lost = [x for x in seg.tolist() if x not in self._filter]
+                if lost:
+                    problems.append(f"rank {rank}: slot values {lost} missing "
+                                    "from the filter")
         if len(self._links) != self.cap_exp:
             problems.append("bridge list length differs from cap_exp")
         for rank, link in enumerate(self._links[:self.cap_exp]):
@@ -680,13 +723,20 @@ class BlackWhiteArray:
         - 1`` (``[2**low, 2**rank)``, which it clears), sorted with ties in
         that order, the void tail padded with the largest value.  ``chain``
         says the run is sorted and charges the pairwise chain (``Counters``
-        states both charges).  Occupancy, ``total``, the charge and bridges
-        are recorded after the slots, so a write that raises leaves them as
-        they were."""
+        states both charges).  Into a filtered rank, a sorted run joins the
+        filter.  A chain's run is there already, as are the values of the
+        ranks it clears: ``insert`` adds its value, and ``_demote`` the
+        survivors it brings down from an unfiltered rank.  A write that
+        empties every filtered rank clears the filter.  Occupancy, ``total``, the charge and bridges are
+        recorded after the slots, so a write that raises leaves them as
+        they were (the filter may keep the run)."""
         s = 1 << rank
         a = 1 << low
         occ = self._occ
         cmp = 0
+        small = self._small
+        if s < small and not chain:
+            self._filter.update(self._white[s:s + k].tolist())
         if 2 <= s <= 4 and not low:
             # one value with rank 0 and, into 4 slots, rank 1, both full
             # when active: the runs (1, 1) or (1, 1, 2), sorted and counted
@@ -744,6 +794,25 @@ class BlackWhiteArray:
             ctr.moves += s
         if s > self._BRIDGED:
             self._relink(rank)
+        if s >= small and not self._total & (small - 1):
+            self._filter = set()            # no filtered rank is left
+
+    def _refilter(self) -> None:
+        """Rebuild the filter from the slots of the active filtered ranks.
+
+        A value can leave the filtered slots and stay in the filter: a void
+        a write drops, a rank a demotion writes up, rank 0's voided slot.
+        A carry that empties the filtered ranks clears the filter, and
+        ``total`` only grows between the steps that lower it, demotions
+        and rank 0's deactivation, so fewer than ``_small`` values are
+        added before such a carry comes.  Those steps rebuild the filter
+        once it holds more than twice ``_small`` values, which keeps it
+        below three times that."""
+        t = self._total & (self._small - 1)
+        self._filter = set()
+        for r in range(t.bit_length()):
+            if (t >> r) & 1:
+                self._filter.update(self._white[1 << r:2 << r].tolist())
 
     def _live(self) -> np.ndarray:
         """A new array of the occupied slots of every active segment, one
@@ -795,12 +864,16 @@ class BlackWhiteArray:
         d = s if taken else s >> 1          # the destination, where the
         self._white[d:d + k] = (            # survivors wait
             self._white[s:s << 1][self._wmask[s:s << 1]])
+        if d < self._small <= s:            # into the filtered ranks
+            self._filter.update(self._white[d:d + k].tolist())
         if not taken:                       # rank - 1 is free: move there
             self._occ[rank] = 0
             self._total -= s
             self._links[rank] = None        # a bridge needs an active rank
         self._write(rank - 1 + taken, k, rank - 1, True)
         self.counters.demotes += 1
+        if len(self._filter) > self._small << 1:
+            self._refilter()
 
     def _bridge(self, rank: int) -> Optional[tuple]:
         """The bridge of ``rank`` as the raw slots define it, or None.
@@ -864,6 +937,8 @@ class BlackWhiteArray:
         self._occ[rank] = occ
         if rank == 0:
             self._total -= 1          # sole slot voided: deactivate in place
+            if len(self._filter) > self._small << 1:
+                self._refilter()
         elif occ << 1 <= 1 << rank:
             self._demote(rank)
 

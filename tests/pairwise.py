@@ -10,9 +10,10 @@ Every merge is charged ``merge_comparisons`` of its two runs, and a demotion
 onto an active rank is one more such merge.  ``insert_many`` sorts each of
 its blocks once, stably: tied values keep the order of the block, newest
 first as the scalar loop leaves them, and then of the ranks, lowest first,
-as a chain of merges would.  The tests check
-that the one-write carry of the real class leaves the same slots, bridges
-and counters.
+as a chain of merges would.  Every writer rebuilds the search filter from
+the slots it leaves (``_refilter``), so the inherited ``search`` reads it as
+the real class's writers keep it.  The tests check that the one-write carry
+of the real class leaves the same slots, bridges and counters.
 """
 
 from bisect import bisect_left, bisect_right
@@ -84,6 +85,7 @@ class PairwiseChain(BlackWhiteArray):
             self._total = total + 1
             if 1 << top > self._BRIDGED:
                 self._relink(top)
+        self._refilter()
         self.counters.moves += 1
 
     def insert_many(self, values) -> None:
@@ -124,6 +126,7 @@ class PairwiseChain(BlackWhiteArray):
             self._total = total
             if s > self._BRIDGED:
                 self._relink(rank)
+        self._refilter()
 
     def _merge(self, rank: int, to_black: bool, black_n: int) -> int:
         """Merge black and white rank ``rank`` into rank + 1 of the
@@ -168,3 +171,4 @@ class PairwiseChain(BlackWhiteArray):
         self._total -= half
         if s > self._BRIDGED:
             self._relink(rank)
+        self._refilter()

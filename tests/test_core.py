@@ -290,6 +290,7 @@ class TestWriteUnit:
         # rank, more than half of the 8 slots but not all of them
         monkeypatch.setattr(bwa, "_sort", None)  # the run is not sorted again
         bwa._white[8:13] = [4, 9, 9, 30, 41]
+        bwa._filter.update([4, 9, 30, 41])  # as a filtered rank 4 held them
         bwa._write(3, 5, 3, True)
         assert bwa._white[8:13].tolist() == [4, 9, 9, 30, 41]
         assert bwa._wmask[8:16].tolist() == [True] * 5 + [False] * 3

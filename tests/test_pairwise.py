@@ -89,7 +89,7 @@ def test_one_write_carry_matches_pairwise_chain(dtype, policy, narrow, seed,
             arg = value(arg)
         assert _apply(a, op, arg) == _apply(b, op, arg), (op, arg)
         assert _state(a) == _state(b), (op, arg)
-    assert a.validate() == []
+    assert a.validate() == [] and b.validate() == []
 
 
 # each dtype's small domain: with -0.0 and 0.0 the order of ties shows in

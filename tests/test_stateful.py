@@ -5,11 +5,13 @@ rebuilds, compactions, deletes, searches, extractions, extremes, both
 bounds and intervals over a small, duplicate-heavy domain, so void runs,
 padded void tails and ties all occur.  Values are checked against
 ``ReferenceModel``; the slots that ``search``, ``delete`` and the
-extractions pick, and the comparisons bounds, extremes and intervals are
-charged, are checked against naive specs read from the raw slots, and each
-extraction's counters against a copy that voids the spec's slot, plus one
-comparison per fold.  ``validate()`` after every step rechecks
-the bridges every writer leaves.  The int64 and float64 machines run the
+extractions pick, and the comparisons searches, bounds, extremes and
+intervals are charged, are checked against naive specs read from the raw
+slots (a search's as if it bisected every rank it reaches, the ranks its
+filter skips included), and each extraction's counters against a copy that
+voids the spec's slot, plus one comparison per fold.  ``validate()`` after
+every step rechecks the bridges and the search filter every writer leaves.
+The int64 and float64 machines run the
 class as it is.  The others run ``Narrow``, whose small states already
 bisect through bridges: int64, uint64, float32, and int64 under the fixed
 policy, where an insert past capacity must leave the structure as it was.
@@ -63,9 +65,9 @@ def spec_extreme(bwa, largest):
     return None if best is None else best[0]
 
 
-def spec_bisections(bwa, v, right):
-    """Comparisons the bisections of a bound for ``v`` are charged: the bit
-    length of each active rank's window, highest rank first.  The top rank
+def _windows(bwa, v, right):
+    """``(rank, charge)`` of the bisection for ``v`` in each active rank,
+    highest rank first: the bit length of the rank's window.  The top rank
     and a rank of at most ``_BRIDGED`` slots are bisected whole.  Below
     another active rank ``u``, a rank's window runs between the bisection
     points of the sampled values of ``u`` (every ``_LOOKAHEAD * 2**(u - r)``
@@ -73,7 +75,7 @@ def spec_bisections(bwa, v, right):
     (``right``: ``bisect_right``) puts before it, up to the next sample."""
     K = bwa._LOOKAHEAD
     before = (lambda x: x <= v) if right else (lambda x: x < v)
-    charged, upper = 0, None
+    upper = None
     for r in _active(bwa, highest_first=True):
         seg = bwa._white[1 << r:2 << r].tolist()
         lo, hi = 0, len(seg)
@@ -84,8 +86,41 @@ def spec_bisections(bwa, v, right):
                 lo = sum(x < samples[j - 1] for x in seg)
             if j < len(samples):
                 hi = sum(x < samples[j] for x in seg)
-        charged += (hi - lo).bit_length()
+        yield r, (hi - lo).bit_length()
         upper = seg
+
+
+def spec_bisections(bwa, v, right):
+    """Comparisons the bisections of a bound for ``v`` are charged: the sum
+    of ``_windows``."""
+    return sum(charge for _, charge in _windows(bwa, v, right))
+
+
+def spec_search_charge(bwa, v):
+    """Comparisons a search for ``v`` is charged, as if it bisected every
+    rank it reaches, filtered or not: per active rank, highest first, its
+    window, then 1 for the first slot ``>= v`` if there is one, and 1 more
+    for the next occupied slot when that slot is a void holding ``v`` and
+    one follows; the walk ends at the first occupied slot holding ``v``."""
+    charged = 0
+    for r, window in _windows(bwa, v, False):
+        charged += window
+        seg = bwa._white[1 << r:2 << r].tolist()
+        slots = bwa.segment_slots(r)
+        i = sum(x < v for x in seg)
+        if i == len(seg):
+            continue
+        charged += 1
+        if seg[i] != v:
+            continue
+        k = next((k for k in range(i, len(seg)) if slots[k] is not None), None)
+        if k is None:
+            continue
+        if k > i:
+            charged += 1
+            if seg[k] != v:
+                continue
+        return charged
     return charged
 
 
@@ -208,9 +243,12 @@ class QuerySurface(RuleBasedStateMachine):
 
     @rule(j=probe_keys)
     def search(self, j):
+        # charged as if every rank reached were bisected, the ranks the
+        # filter rules the probe out of included
         v = self.probe(j)
         expected = spec_search(self.bwa, v)
-        assert self.bwa.search(v) == expected
+        charge = spec_search_charge(self.bwa, v)
+        assert self.charged(self.bwa.search, v) == (expected, charge)
         assert self.model.contains(v) == (expected is not None)
         assert (v in self.sorted) == (expected is not None)
 
