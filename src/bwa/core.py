@@ -35,10 +35,14 @@ delete only clears the slot's mask byte and leaves the value in place, and a
 write fills its void tail with the largest value written.  So one ``bisect``
 per segment finds any position, and ``find`` or ``rfind`` on the mask, one
 byte per slot, finds the nearest occupied slot from there.  Queries walk
-the active segments highest rank first, and a *bridge* from each segment of
-more than ``_BRIDGED`` slots to the next higher active one (the lookahead
-pointers of the cache-oblivious lookahead array, a form of fractional
-cascading) bounds its bisection to a window of about ``_LOOKAHEAD`` slots.
+the active segments highest rank first, as a tuple of their spans: those
+of the ranks of ``_FILTERED`` or more slots, which the writers keep in
+``_high``, then those of the lower ranks, from a module table (``_LOW``)
+indexed by the low bits of ``total``; a reader builds and stores nothing.
+A *bridge* from each segment of more than ``_BRIDGED`` slots to the next
+higher active one (the lookahead pointers of the cache-oblivious lookahead
+array, a form of fractional cascading) bounds its bisection to a window of
+about ``_LOOKAHEAD`` slots.
 Probes read single slots through a ``memoryview`` of the slots, as plain
 Python scalars compared exactly with a probe of any numeric type; numpy
 works whole ranges (writes, drains, bridges), reading the mask as a bool
@@ -184,13 +188,36 @@ def _layout(n: int, cap_exp: int) -> list[tuple[int, int]]:
 
 
 # rank r's segment as a query's walk reads it: its first slot, its end, and
-# r + 1, the charge of a bisection over the whole segment
+# r + 1, the charge of a bisection over the whole segment; a walk is a tuple
+# of these, highest rank first, from the high part the writers keep
+# (``_high``) and the low part of ``_LOW``
 _SPANS = tuple((1 << r, 2 << r, r + 1) for r in range(64))
 
 # the ranks of fewer slots keep the values of their slots in a set, which
 # lets a search miss skip them (``BlackWhiteArray.search``); a class whose
-# bridges reach below this bound filters only the ranks below its bridged ones
+# bridges reach below this bound filters only the ranks below its bridged ones.
+# It also splits a walk: ``_LOW`` covers the ranks below it, ``_high`` the rest
 _FILTERED = 1 << 8
+_LOW_RANKS = _FILTERED.bit_length() - 1     # 8: _LOW's ranks, below _high's
+
+
+def _high(t: int) -> tuple:
+    """The spans of the ranks of ``_FILTERED`` or more slots set in ``t``,
+    highest first: the high part of the walk, which the writers keep
+    current in ``_high`` as they change ``total``."""
+    return tuple(_SPANS[r] for r in range(t.bit_length() - 1,
+                                          _LOW_RANKS - 1, -1) if t >> r & 1)
+
+
+# the low part of the walk: the spans of the ranks set in t < _FILTERED
+_LOW = tuple(tuple(_SPANS[r] for r in range(t.bit_length() - 1, -1, -1)
+                   if t >> r & 1) for t in range(_FILTERED))
+
+# the charge of a search that its filter rules out of the ranks set in
+# rest < _FILTERED: (sum of r + 2 over them, the index of each one's last
+# slot), 1 less for every last slot below the probe (``search``)
+_MISSED = tuple((sum(c + 1 for _, _, c in spans),
+                 tuple(e - 1 for _, e, _ in spans)) for spans in _LOW)
 
 
 def _plain(value):
@@ -248,6 +275,7 @@ class BlackWhiteArray:
         self._small = min(_FILTERED, 1 << self._BRIDGED.bit_length())
         self._filter = set()
         self._total = 0
+        self._high = ()                 # _high(total), kept by the writers
         self.counters = Counters()
 
     def __getstate__(self) -> dict:
@@ -402,14 +430,16 @@ class BlackWhiteArray:
         in the fewest segments the capacity allows, which does not change.
 
         The values are written into a fresh structure of the same capacity,
-        whose slots, mask, occupancy, ``total`` and bridges are adopted only
-        once every rank is written, so a failure (a ``MemoryError``, say)
-        leaves the structure and its counters as they were.  Each rank
+        whose slots, mask, occupancy, ``total``, bridges, filter and
+        ``_high`` are adopted only once every rank is written, so a failure
+        (a ``MemoryError``, say) leaves the structure and its counters as
+        they were.  Each rank
         written is charged as ``_write`` charges a lone run: one merge and
         the rank's ``2**rank`` slots as moves, no comparisons."""
         fresh = type(self)(self.cap_exp, self.policy, self.dtype)
         fresh._fill(self._live())
-        for name in ("_white", "_mask", "_occ", "_links", "_filter", "_total"):
+        for name in ("_white", "_mask", "_occ", "_links", "_filter", "_total",
+                     "_high"):
             setattr(self, name, getattr(fresh, name))
         self._build_views()
         self.counters.merges += fresh.counters.merges
@@ -439,21 +469,20 @@ class BlackWhiteArray:
         Active segments are probed from the highest rank down, which ends
         sooner on average when a value is stored more than once.  Once
         only the ranks below ``_small`` slots are left, a value their
-        filter does not hold is in none of their slots: each is charged
-        what its bisection and compare would be, and none is read but its
-        last slot.
+        filter does not hold is in none of their slots: they are charged
+        what their bisections and compares would be (``_MISSED``), and
+        none is read but its last slot.
         """
         if type(value) is not int and type(value) is not float:
             value = _plain(value)
         t = self._total
         wv, links, bridged = self._wv, self._links, self._BRIDGED
         rest = t & (self._small - 1)        # the filtered ranks, walked last
-        t ^= rest
+        t = (t & (_FILTERED - 1)) ^ rest
+        walk = self._high + _LOW[t] if t else self._high
         cmp = i = 0
         while True:
-            while t:
-                s, e, c = _SPANS[t.bit_length() - 1]
-                t ^= s
+            for s, e, c in walk:
                 if s <= bridged or (link := links[c - 1]) is None:
                     # a small rank, or the top
                     i = bisect_left(wv, value, s, e)
@@ -485,12 +514,13 @@ class BlackWhiteArray:
                 # in none of their slots: each is charged its bisection,
                 # and the compare where bisect_left stops, before e unless
                 # slot e - 1 is below value
-                while rest:
-                    s, e, c = _SPANS[rest.bit_length() - 1]
-                    rest ^= s
-                    cmp += c + (not wv[e - 1] < value)
+                charge, lasts = _MISSED[rest]
+                for k in lasts:
+                    if wv[k] < value:
+                        charge -= 1
+                cmp += charge
                 break
-            t, rest = rest, 0
+            walk, rest = _LOW[rest], 0
         self.counters.comparisons += cmp
         return None
 
@@ -518,15 +548,14 @@ class BlackWhiteArray:
             lo = _plain(lo)
         if type(hi) is not int and type(hi) is not float:
             hi = _plain(hi)
-        t = self._total
+        t = self._total & (_FILTERED - 1)
+        walk = self._high + _LOW[t] if t else self._high
         wv, mask, links = self._wv, self._mask, self._links
         bridged = self._BRIDGED
         window = self._LOOKAHEAD
         out = []
         cmp = i = 0
-        while t:
-            s, e, c = _SPANS[t.bit_length() - 1]
-            t ^= s
+        for s, e, c in walk:
             if s <= bridged or (link := links[c - 1]) is None:
                 i = bisect_left(wv, lo, s, e)   # a small rank, or the top
                 cmp += c
@@ -617,6 +646,9 @@ class BlackWhiteArray:
                 if lost:
                     problems.append(f"rank {rank}: slot values {lost} missing "
                                     "from the filter")
+        if self._high != _high(self._total):
+            problems.append(f"walk's high ranks {self._high} stale for "
+                            f"total {self._total}")
         if len(self._links) != self.cap_exp:
             problems.append("bridge list length differs from cap_exp")
         for rank, link in enumerate(self._links[:self.cap_exp]):
@@ -727,7 +759,8 @@ class BlackWhiteArray:
         filter.  A chain's run is there already, as are the values of the
         ranks it clears: ``insert`` adds its value, and ``_demote`` the
         survivors it brings down from an unfiltered rank.  A write that
-        empties every filtered rank clears the filter.  Occupancy, ``total``, the charge and bridges are
+        empties every filtered rank clears the filter.  Occupancy, ``total``
+        and the walk's high part (``_high``), the charge and bridges are
         recorded after the slots, so a write that raises leaves them as
         they were (the filter may keep the run)."""
         s = 1 << rank
@@ -783,7 +816,23 @@ class BlackWhiteArray:
                 wmask[s + n:s << 1] = False
             occ[low:rank] = [0] * (rank - low)
         occ[rank] = n
-        self._total = self._total & ~(s - a) | s
+        total = self._total
+        self._total = total & ~(s - a) | s
+        if s >= _FILTERED:                  # the walk's high part
+            high = self._high
+            if a < _FILTERED and not total & s:
+                # a carry from below _FILTERED slots into a free rank has
+                # cleared every rank from low up, so the spans it drops
+                # are the last rank - _LOW_RANKS of high (counting bits, as
+                # below, cost about 0.5 us more a carry in an insert stream)
+                self._high = (high[:len(high) + _LOW_RANKS - rank]
+                              + (_SPANS[rank],))
+            else:
+                # the spans above rank kept, rank's, then those of the
+                # ranks below low kept (a demotion may leave some)
+                below = (total & (a - 1) & -_FILTERED).bit_count()
+                self._high = (high[:(total >> (rank + 1)).bit_count()]
+                              + (_SPANS[rank],) + high[len(high) - below:])
         ctr = self.counters
         if chain:
             ctr.comparisons += cmp
@@ -870,6 +919,9 @@ class BlackWhiteArray:
             self._occ[rank] = 0
             self._total -= s
             self._links[rank] = None        # a bridge needs an active rank
+            if s >= _FILTERED:              # out of the walk's high part
+                n = (self._total >> rank).bit_count()
+                self._high = self._high[:n] + self._high[n + 1:]
         self._write(rank - 1 + taken, k, rank - 1, True)
         self.counters.demotes += 1
         if len(self._filter) > self._small << 1:
@@ -946,7 +998,8 @@ class BlackWhiteArray:
         """The smallest stored value ``> value`` (``above``) or the largest
         ``< value``, or None.  Ranks are walked highest first, so a tie goes
         to the later candidate: the lower rank."""
-        t = self._total
+        t = self._total & (_FILTERED - 1)
+        walk = self._high + _LOW[t] if t else self._high
         wv, mask, links = self._wv, self._mask, self._links
         bridged = self._BRIDGED
         if type(value) is not int and type(value) is not float:
@@ -954,9 +1007,7 @@ class BlackWhiteArray:
         bisect = bisect_right if above else bisect_left
         best = None
         cmp = i = 0
-        while t:
-            s, e, c = _SPANS[t.bit_length() - 1]
-            t ^= s
+        for s, e, c in walk:
             if s <= bridged or (link := links[c - 1]) is None:
                 i = bisect(wv, value, s, e)     # a small rank, or the top
                 cmp += c
@@ -996,25 +1047,21 @@ class BlackWhiteArray:
         when ``remove`` is set.  The candidates are the first occupied slot
         of every active segment, highest rank first, with no bisection,
         folded with a tie to the later candidate, the lower rank, as
-        ``_nearest`` folds.  The top segment's candidate starts the fold,
-        so the loop tests neither a direction nor a first candidate.
-        Charged 1 comparison per fold, one fewer than the active segments.
-        An active segment always holds an occupied slot."""
+        ``_nearest`` folds.  The loop tests no direction; the top
+        segment's candidate starts the fold, with no compare.  Charged 1
+        comparison per fold, one fewer than the active segments.  An
+        active segment always holds an occupied slot."""
         t = self._total
         if not t:
             return None
         self.counters.comparisons += t.bit_count() - 1
         wv, mask = self._wv, self._mask
-        s, e, _ = _SPANS[t.bit_length() - 1]
-        t ^= s
-        best = s if mask[s] else mask.find(1, s, e)
-        value = wv[best]
-        while t:
-            s, e, _ = _SPANS[t.bit_length() - 1]
-            t ^= s
+        t &= _FILTERED - 1
+        best = value = None
+        for s, e, _ in self._high + _LOW[t] if t else self._high:
             k = s if mask[s] else mask.find(1, s, e)
             x = wv[k]
-            if x <= value:
+            if value is None or x <= value:
                 best, value = k, x
         if remove:
             self._delete_at(best)
@@ -1030,16 +1077,12 @@ class BlackWhiteArray:
             return None
         self.counters.comparisons += t.bit_count() - 1
         wv, mask = self._wv, self._mask
-        s, e, _ = _SPANS[t.bit_length() - 1]
-        t ^= s
-        best = e - 1 if mask[e - 1] else mask.rfind(1, s, e)
-        value = wv[best]
-        while t:
-            s, e, _ = _SPANS[t.bit_length() - 1]
-            t ^= s
+        t &= _FILTERED - 1
+        best = value = None
+        for s, e, _ in self._high + _LOW[t] if t else self._high:
             k = e - 1 if mask[e - 1] else mask.rfind(1, s, e)
             x = wv[k]
-            if x >= value:
+            if value is None or x >= value:
                 best, value = k, x
         if remove:
             self._delete_at(best)

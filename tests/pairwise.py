@@ -11,9 +11,10 @@ onto an active rank is one more such merge.  ``insert_many`` sorts each of
 its blocks once, stably: tied values keep the order of the block, newest
 first as the scalar loop leaves them, and then of the ranks, lowest first,
 as a chain of merges would.  Every writer rebuilds the search filter from
-the slots it leaves (``_refilter``), so the inherited ``search`` reads it as
-the real class's writers keep it.  The tests check that the one-write carry
-of the real class leaves the same slots, bridges and counters.
+the slots it leaves and the walk's high part from ``total`` (``_reindex``),
+so the inherited queries read them as the real class's writers keep them.
+The tests check that the one-write carry of the real class leaves the same
+slots, bridges and counters.
 """
 
 from bisect import bisect_left, bisect_right
@@ -21,6 +22,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from bwa import BlackWhiteArray, CapacityExceeded, GrowthPolicy
+from bwa.core import _high
 
 
 def merge_comparisons(b, w) -> int:
@@ -85,7 +87,7 @@ class PairwiseChain(BlackWhiteArray):
             self._total = total + 1
             if 1 << top > self._BRIDGED:
                 self._relink(top)
-        self._refilter()
+        self._reindex()
         self.counters.moves += 1
 
     def insert_many(self, values) -> None:
@@ -126,7 +128,13 @@ class PairwiseChain(BlackWhiteArray):
             self._total = total
             if s > self._BRIDGED:
                 self._relink(rank)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """The search filter and the walk's high part, as the real
+        class's writers keep them, rebuilt from the slots and ``total``."""
         self._refilter()
+        self._high = _high(self._total)
 
     def _merge(self, rank: int, to_black: bool, black_n: int) -> int:
         """Merge black and white rank ``rank`` into rank + 1 of the
@@ -171,4 +179,4 @@ class PairwiseChain(BlackWhiteArray):
         self._total -= half
         if s > self._BRIDGED:
             self._relink(rank)
-        self._refilter()
+        self._reindex()

@@ -230,6 +230,103 @@ class TestUpkeep:
             _agree(other, [20, 25, 9, 8])
 
 
+def _descent(t, stop=0):
+    """The spans of the ranks set in ``t`` from rank ``stop`` up, highest
+    first, taken off ``total`` one bit at a time."""
+    out = []
+    while t >> stop:
+        s, e, c = core._SPANS[t.bit_length() - 1]
+        t ^= s
+        out.append((s, e, c))
+    return tuple(out)
+
+
+class TestTables:
+    """The walk's parts and the filtered miss's charge, against a descent
+    over ``_SPANS``."""
+
+    def test_low_and_missed(self):
+        assert len(core._LOW) == len(core._MISSED) == core._FILTERED
+        for t in range(core._FILTERED):
+            spans = _descent(t)
+            assert core._LOW[t] == spans
+            # r + 2 per rank: its bisection and the compare where it stops
+            assert core._MISSED[t] == (sum(r + 2 for r in range(8)
+                                           if t >> r & 1),
+                                       tuple(e - 1 for _, e, _ in spans))
+
+    def test_high(self):
+        rng = random.Random(25)
+        totals = [0, 1, 255, 256, 257, 2 ** 62 - 1, 2 ** 62]
+        totals += [rng.randrange(2 ** rng.randrange(1, 63))
+                   for _ in range(2000)]
+        for t in totals:
+            assert core._high(t) == _descent(t, 8), t
+            assert core._high(t) + core._LOW[t & 255] == _descent(t)
+
+
+_NONZERO = [v for v in range(-600, 600, 2) if v]
+
+
+def _patterned(cls, dtype, t):
+    """``t`` distinct values, 0 among them, written as inserting them in
+    order would leave them: one full rank per set bit of ``t``, their
+    values interleaved."""
+    rng = random.Random(t)
+    values = [0] + rng.sample(_NONZERO, t - 1) if t else []
+    bwa = cls(9, dtype=dtype)
+    bwa.insert_many(values)
+    assert bwa.total == t
+    return bwa
+
+
+def _last_slots(bwa):
+    return [bwa._white[(2 << r) - 1].item() for r in _filtered(bwa)]
+
+
+class TestMissCharge:
+    """Every pattern of active filtered ranks, probed below, at and above
+    each rank's last slot, and at -0.0 over the stored 0: slot and charge
+    as the specs and the unfiltered twin read them."""
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_every_pattern(self, cls, dtype):
+        step = 1 if dtype == "int64" else 0.5
+        # Narrow walks its unfiltered ranks of 8 to 128 slots first
+        above = (0,) if cls is BlackWhiteArray else (0, 0b10101000, 0b1010000)
+        for rest in range(cls(1)._small):
+            for t in above:
+                bwa = _patterned(cls, dtype, t | rest)
+                probes = [-0.0, 0.0, -1000, 1000]
+                for x in _last_slots(bwa):
+                    probes += [x - step, x, x + step]
+                _agree(bwa, probes)
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_a_last_slot_equal_to_the_probe(self, cls, dtype):
+        # while the filter holds every slot value, a probe equal to a last
+        # slot is in it and never charged from the table.  Stripped of the
+        # values only a void tail holds, which changes no answer, it sends
+        # such a probe down the charged path, where the compare at the last
+        # slot must charge the walk's r + 2 for an equal value as well
+        for t in range(4, cls(1)._small):
+            bwa = _patterned(cls, dtype, t)
+            tops = [x for r, x in zip(_filtered(bwa), _last_slots(bwa))
+                    if r >= 2]
+            for x in tops:
+                bwa.delete(x)               # from a full rank: no demotion
+            bwa._filter = {x for r in _filtered(bwa)
+                           for x in bwa.segment_slots(r) if x is not None}
+            for x in tops:
+                assert x not in bwa._filter
+                want = (None, spec_search_charge(bwa, x))
+                assert spec_search(bwa, x) is None
+                assert _charged(bwa, x) == want
+                assert _charged(_unfiltered(bwa), x) == want
+
+
 class TestProbeTypes:
     def test_zero_d_arrays(self):
         bwa = BlackWhiteArray(3)

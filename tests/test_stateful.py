@@ -10,7 +10,10 @@ intervals are charged, are checked against naive specs read from the raw
 slots (a search's as if it bisected every rank it reaches, the ranks its
 filter skips included), and each extraction's counters against a copy that
 voids the spec's slot, plus one comparison per fold.  ``validate()`` after
-every step rechecks the bridges and the search filter every writer leaves.
+every step rechecks the bridges, the search filter and the walk's high
+part (``_high``) every writer leaves, and the extremes rule checks that
+``minimum`` and ``maximum`` leave the slots, bridges and ``_high`` as
+they were.
 The int64 and float64 machines run the
 class as it is.  The others run ``Narrow``, whose small states already
 bisect through bridges: int64, uint64, float32, and int64 under the fixed
@@ -371,9 +374,11 @@ class Float32QuerySurface(FloatQuerySurface):
 
 
 def _snapshot(bwa):
-    """Slots, counts and bridges, to compare a state with a later one."""
+    """Slots, counts, bridges and the walk's high part, to compare a state
+    with a later one."""
     return (bwa._white.tolist(), bwa._wmask.tolist(),
-            bwa.total, bwa.occupancy, bwa.cap_exp, copy.deepcopy(bwa._links))
+            bwa.total, bwa.occupancy, bwa.cap_exp, copy.deepcopy(bwa._links),
+            bwa._high)
 
 
 _settings = settings(max_examples=100, stateful_step_count=60, deadline=None)
