@@ -35,10 +35,11 @@ delete only clears the slot's mask byte and leaves the value in place, and a
 write fills its void tail with the largest value written.  So one ``bisect``
 per segment finds any position, and ``find`` or ``rfind`` on the mask, one
 byte per slot, finds the nearest occupied slot from there.  Queries walk
-the active segments highest rank first, as a tuple of their spans: those
-of the ranks of ``_FILTERED`` or more slots, which the writers keep in
-``_high``, then those of the lower ranks, from a module table (``_LOW``)
-indexed by the low bits of ``total``; a reader builds and stores nothing.
+the active segments highest rank first, as a tuple of their spans, split
+at the class's filter bound (``_small`` slots): those of the ranks at or
+above it, which the writers keep in ``_high``, then those of the ranks
+below it, from a module table (``_LOW``) indexed by the low bits of
+``total``; a reader builds and stores nothing.
 A *bridge* from each segment of more than ``_BRIDGED`` slots to the next
 higher active one (the lookahead pointers of the cache-oblivious lookahead
 array, a form of fractional cascading) bounds its bisection to a window of
@@ -189,24 +190,24 @@ def _layout(n: int, cap_exp: int) -> list[tuple[int, int]]:
 
 # rank r's segment as a query's walk reads it: its first slot, its end, and
 # r + 1, the charge of a bisection over the whole segment; a walk is a tuple
-# of these, highest rank first, from the high part the writers keep
-# (``_high``) and the low part of ``_LOW``
+# of these, highest rank first, split at the filter bound ``_small``: the
+# high part the writers keep (``_high``), then the low part of ``_LOW``
 _SPANS = tuple((1 << r, 2 << r, r + 1) for r in range(64))
 
-# the ranks of fewer slots keep the values of their slots in a set, which
-# lets a search miss skip them (``BlackWhiteArray.search``); a class whose
-# bridges reach below this bound filters only the ranks below its bridged ones.
-# It also splits a walk: ``_LOW`` covers the ranks below it, ``_high`` the rest
+# the ranks of fewer slots than an instance's bound ``_small``, at most this,
+# keep the values of their slots in a set, which lets a search miss skip them
+# (``BlackWhiteArray.search``); ``_LOW`` and ``_MISSED`` cover the ranks
+# below this, so they serve every bound
 _FILTERED = 1 << 8
-_LOW_RANKS = _FILTERED.bit_length() - 1     # 8: _LOW's ranks, below _high's
 
 
-def _high(t: int) -> tuple:
-    """The spans of the ranks of ``_FILTERED`` or more slots set in ``t``,
+def _high(t: int, small: int) -> tuple:
+    """The spans of the ranks of ``small`` or more slots set in ``t``,
     highest first: the high part of the walk, which the writers keep
     current in ``_high`` as they change ``total``."""
     return tuple(_SPANS[r] for r in range(t.bit_length() - 1,
-                                          _LOW_RANKS - 1, -1) if t >> r & 1)
+                                          small.bit_length() - 2, -1)
+                 if t >> r & 1)
 
 
 # the low part of the walk: the spans of the ranks set in t < _FILTERED
@@ -275,7 +276,7 @@ class BlackWhiteArray:
         self._small = min(_FILTERED, 1 << self._BRIDGED.bit_length())
         self._filter = set()
         self._total = 0
-        self._high = ()                 # _high(total), kept by the writers
+        self._high = ()                 # _high(total, _small), kept by writers
         self.counters = Counters()
 
     def __getstate__(self) -> dict:
@@ -430,20 +431,19 @@ class BlackWhiteArray:
         in the fewest segments the capacity allows, which does not change.
 
         The values are written into a fresh structure of the same capacity,
-        whose slots, mask, occupancy, ``total``, bridges, filter and
-        ``_high`` are adopted only once every rank is written, so a failure
+        whose whole state, this structure's ``Counters`` object in place of
+        its own, is adopted only once every rank is written, so a failure
         (a ``MemoryError``, say) leaves the structure and its counters as
         they were.  Each rank
         written is charged as ``_write`` charges a lone run: one merge and
         the rank's ``2**rank`` slots as moves, no comparisons."""
         fresh = type(self)(self.cap_exp, self.policy, self.dtype)
         fresh._fill(self._live())
-        for name in ("_white", "_mask", "_occ", "_links", "_filter", "_total",
-                     "_high"):
-            setattr(self, name, getattr(fresh, name))
-        self._build_views()
-        self.counters.merges += fresh.counters.merges
-        self.counters.moves += fresh.counters.moves
+        counters = self.counters
+        counters.merges += fresh.counters.merges
+        counters.moves += fresh.counters.moves
+        fresh.counters = counters
+        self.__dict__ = vars(fresh)
 
     def delete(self, value) -> Optional[int]:
         """Void one occurrence; returns the slot index it held, or None."""
@@ -467,19 +467,18 @@ class BlackWhiteArray:
         """White-array index of one occurrence of ``value``, or None.
 
         Active segments are probed from the highest rank down, which ends
-        sooner on average when a value is stored more than once.  Once
-        only the ranks below ``_small`` slots are left, a value their
+        sooner on average when a value is stored more than once: first the
+        ranks of ``_small`` or more slots (``_high``), then, when their
+        filter holds the value, the ranks below (``_LOW``).  A value the
         filter does not hold is in none of their slots: they are charged
         what their bisections and compares would be (``_MISSED``), and
         none is read but its last slot.
         """
         if type(value) is not int and type(value) is not float:
             value = _plain(value)
-        t = self._total
         wv, links, bridged = self._wv, self._links, self._BRIDGED
-        rest = t & (self._small - 1)        # the filtered ranks, walked last
-        t = (t & (_FILTERED - 1)) ^ rest
-        walk = self._high + _LOW[t] if t else self._high
+        rest = self._total & (self._small - 1)  # filtered ranks, walked last
+        walk = self._high
         cmp = i = 0
         while True:
             for s, e, c in walk:
@@ -548,7 +547,7 @@ class BlackWhiteArray:
             lo = _plain(lo)
         if type(hi) is not int and type(hi) is not float:
             hi = _plain(hi)
-        t = self._total & (_FILTERED - 1)
+        t = self._total & (self._small - 1)
         walk = self._high + _LOW[t] if t else self._high
         wv, mask, links = self._wv, self._mask, self._links
         bridged = self._BRIDGED
@@ -646,7 +645,7 @@ class BlackWhiteArray:
                 if lost:
                     problems.append(f"rank {rank}: slot values {lost} missing "
                                     "from the filter")
-        if self._high != _high(self._total):
+        if self._high != _high(self._total, self._small):
             problems.append(f"walk's high ranks {self._high} stale for "
                             f"total {self._total}")
         if len(self._links) != self.cap_exp:
@@ -818,19 +817,19 @@ class BlackWhiteArray:
         occ[rank] = n
         total = self._total
         self._total = total & ~(s - a) | s
-        if s >= _FILTERED:                  # the walk's high part
+        if s >= small:                      # the walk's high part
             high = self._high
-            if a < _FILTERED and not total & s:
-                # a carry from below _FILTERED slots into a free rank has
-                # cleared every rank from low up, so the spans it drops
-                # are the last rank - _LOW_RANKS of high (counting bits, as
-                # below, cost about 0.5 us more a carry in an insert stream)
-                self._high = (high[:len(high) + _LOW_RANKS - rank]
+            if a < small and not total & s:
+                # a carry from below small slots into a free rank has
+                # cleared every rank from low up: it drops the last spans
+                # of high, one per rank from small up to s (the form below
+                # cost about 0.5 us more a carry in an insert stream)
+                self._high = (high[:len(high) - (s - small).bit_count()]
                               + (_SPANS[rank],))
             else:
                 # the spans above rank kept, rank's, then those of the
                 # ranks below low kept (a demotion may leave some)
-                below = (total & (a - 1) & -_FILTERED).bit_count()
+                below = (total & (a - 1) & -small).bit_count()
                 self._high = (high[:(total >> (rank + 1)).bit_count()]
                               + (_SPANS[rank],) + high[len(high) - below:])
         ctr = self.counters
@@ -857,11 +856,9 @@ class BlackWhiteArray:
         added before such a carry comes.  Those steps rebuild the filter
         once it holds more than twice ``_small`` values, which keeps it
         below three times that."""
-        t = self._total & (self._small - 1)
         self._filter = set()
-        for r in range(t.bit_length()):
-            if (t >> r) & 1:
-                self._filter.update(self._white[1 << r:2 << r].tolist())
+        for s, e, _ in _LOW[self._total & (self._small - 1)]:
+            self._filter.update(self._white[s:e].tolist())
 
     def _live(self) -> np.ndarray:
         """A new array of the occupied slots of every active segment, one
@@ -919,7 +916,7 @@ class BlackWhiteArray:
             self._occ[rank] = 0
             self._total -= s
             self._links[rank] = None        # a bridge needs an active rank
-            if s >= _FILTERED:              # out of the walk's high part
+            if s >= self._small:            # out of the walk's high part
                 n = (self._total >> rank).bit_count()
                 self._high = self._high[:n] + self._high[n + 1:]
         self._write(rank - 1 + taken, k, rank - 1, True)
@@ -998,7 +995,7 @@ class BlackWhiteArray:
         """The smallest stored value ``> value`` (``above``) or the largest
         ``< value``, or None.  Ranks are walked highest first, so a tie goes
         to the later candidate: the lower rank."""
-        t = self._total & (_FILTERED - 1)
+        t = self._total & (self._small - 1)
         walk = self._high + _LOW[t] if t else self._high
         wv, mask, links = self._wv, self._mask, self._links
         bridged = self._BRIDGED
@@ -1056,7 +1053,7 @@ class BlackWhiteArray:
             return None
         self.counters.comparisons += t.bit_count() - 1
         wv, mask = self._wv, self._mask
-        t &= _FILTERED - 1
+        t &= self._small - 1
         best = value = None
         for s, e, _ in self._high + _LOW[t] if t else self._high:
             k = s if mask[s] else mask.find(1, s, e)
@@ -1077,7 +1074,7 @@ class BlackWhiteArray:
             return None
         self.counters.comparisons += t.bit_count() - 1
         wv, mask = self._wv, self._mask
-        t &= _FILTERED - 1
+        t &= self._small - 1
         best = value = None
         for s, e, _ in self._high + _LOW[t] if t else self._high:
             k = e - 1 if mask[e - 1] else mask.rfind(1, s, e)

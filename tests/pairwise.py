@@ -134,7 +134,7 @@ class PairwiseChain(BlackWhiteArray):
         """The search filter and the walk's high part, as the real
         class's writers keep them, rebuilt from the slots and ``total``."""
         self._refilter()
-        self._high = _high(self._total)
+        self._high = _high(self._total, self._small)
 
     def _merge(self, rank: int, to_black: bool, black_n: int) -> int:
         """Merge black and white rank ``rank`` into rank + 1 of the

@@ -1,10 +1,12 @@
-"""The search filter: the ranks of fewer than ``_FILTERED`` slots, and never
-a rank that can be bridged, keep every value of their slots in a set, so a
-search miss skips them.  Answers and charges must stay those of the walk
-without it: every test compares them with ``spec_search`` and
-``spec_search_charge``, read from the raw slots, and with a twin whose
-filter covers no rank (``_small = 1``), on int64 and float64 and on the
-class and ``Narrow``."""
+"""The search filter: the ranks of fewer than ``_small`` slots (at most
+``_FILTERED``, and never a rank that can be bridged) keep every value of
+their slots in a set, so a search miss skips them.  The same bound splits
+every walk: ``_high`` holds the spans of the ranks at or above it.  Answers
+and charges must stay those of the walk without the filter: every test
+compares them with ``spec_search`` and ``spec_search_charge``, read from
+the raw slots, and with a twin whose filter covers no rank (``_small = 1``,
+``_high`` every active rank), on int64 and float64 and on the class and
+``Narrow``."""
 
 import copy
 import pickle
@@ -27,6 +29,7 @@ def _unfiltered(bwa):
     """A copy of ``bwa`` whose search bisects every rank it reaches."""
     twin = copy.deepcopy(bwa)
     twin._small = 1
+    twin._high = core._high(twin.total, 1)
     return twin
 
 
@@ -255,14 +258,18 @@ class TestTables:
                                            if t >> r & 1),
                                        tuple(e - 1 for _, e, _ in spans))
 
-    def test_high(self):
+    @pytest.mark.parametrize("small", [1, 8, 256])
+    def test_high(self, small):
+        # the bound of the unfiltered twin, of Narrow and of the class
         rng = random.Random(25)
-        totals = [0, 1, 255, 256, 257, 2 ** 62 - 1, 2 ** 62]
+        totals = [0, 1, 7, 8, 9, 255, 256, 257, 2 ** 62 - 1, 2 ** 62]
         totals += [rng.randrange(2 ** rng.randrange(1, 63))
                    for _ in range(2000)]
+        stop = small.bit_length() - 1
         for t in totals:
-            assert core._high(t) == _descent(t, 8), t
-            assert core._high(t) + core._LOW[t & 255] == _descent(t)
+            assert core._high(t, small) == _descent(t, stop), t
+            assert (core._high(t, small) + core._LOW[t & (small - 1)]
+                    == _descent(t)), t
 
 
 _NONZERO = [v for v in range(-600, 600, 2) if v]

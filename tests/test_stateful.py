@@ -3,7 +3,9 @@
 A ``hypothesis.stateful`` machine runs inserts, batch inserts, bulk
 rebuilds, compactions, deletes, searches, extractions, extremes, both
 bounds and intervals over a small, duplicate-heavy domain, so void runs,
-padded void tails and ties all occur.  Values are checked against
+padded void tails and ties all occur.  Runs of up to 64 inserts, and of
+deletes out of the top rank, reach states with several large ranks and
+their demotions within a few steps.  Values are checked against
 ``ReferenceModel``; the slots that ``search``, ``delete`` and the
 extractions pick, and the comparisons searches, bounds, extremes and
 intervals are charged, are checked against naive specs read from the raw
@@ -207,6 +209,14 @@ class QuerySurface(RuleBasedStateMachine):
         values = [self.value(k) for k in ks]
         self._add(values, lambda: self.bwa.insert_many(values))
 
+    @rule(k=keys, n=st.integers(1, 64))
+    def insert_run(self, k, n):
+        """Insert ``n`` values in one batch, a run through the domain from
+        ``k``: with ``delete_from_top``, it makes states with several
+        active ranks of 8 slots or more, ``Narrow``'s ``_high``, common."""
+        values = [self.value((k + i) % 13) for i in range(n)]  # keys 0..12
+        self._add(values, lambda: self.bwa.insert_many(values))
+
     @rule(ks=st.lists(keys, max_size=24))
     def from_values(self, ks):
         """Rebuild in bulk from the values held plus a batch."""
@@ -237,7 +247,21 @@ class QuerySurface(RuleBasedStateMachine):
 
     @rule(j=probe_keys)
     def delete(self, j):
-        v = self.probe(j)
+        self._delete(self.probe(j))
+
+    @rule(n=st.integers(1, 64))
+    def delete_from_top(self, n):
+        """Delete up to ``n`` of the values the top rank holds, one by one,
+        so it can fall to half and demote within one step, past the ranks
+        below it: the large ranks, whose spans the writers keep in
+        ``_high``, demote only after as many deletes as half their slots."""
+        top = max(_active(self.bwa), default=None)
+        if top is not None:
+            held = [x for x in self.bwa.segment_slots(top) if x is not None]
+            for v in held[:n]:
+                self._delete(v)
+
+    def _delete(self, v):
         expected = spec_search(self.bwa, v)
         assert self.bwa.delete(v) == expected
         assert self.model.delete(v) == (expected is not None)

@@ -1,11 +1,13 @@
 """The query walk's high part and read-only calls.
 
-Every walk is ``_high + _LOW[total & 255]``: the spans of the active ranks
-of 2^8 or more slots, which the writers keep in ``_high``, then those of
-the ranks below from a module table.  ``_high`` must equal ``_high(total)``
-after every writer, on the class and on ``Narrow``; the readers only read
-it.  Read-only calls may run concurrently (the module docstring), so none
-of them may store anything on the instance but its comparison count.
+Every walk is split at the class's filter bound ``_small`` (2^8 slots on
+the class, 8 on ``Narrow``): the spans of the active ranks of ``_small`` or
+more slots, which the writers keep in ``_high``, then those of the ranks
+below from a module table, ``_LOW[total & (_small - 1)]``.  ``_high`` must
+equal ``_high(total, _small)`` after every writer, on the class and on
+``Narrow``; the readers only read it.  Read-only calls may run
+concurrently (the module docstring), so none of them may store anything
+on the instance but its comparison count.
 """
 
 import copy
@@ -26,18 +28,21 @@ CLASSES = [BlackWhiteArray, Narrow]
 
 
 def _kept(bwa):
-    assert bwa._high == core._high(bwa.total)
+    assert bwa._high == core._high(bwa.total, bwa._small)
     assert bwa.validate() == []
 
 
-def _spans(*ranks):
-    return tuple(core._SPANS[r] for r in ranks)
+def _spans(cls, *ranks):
+    """The spans ``cls`` keeps in ``_high`` when ``ranks``, highest first,
+    are active: those of ``cls(1)._small`` or more slots."""
+    small = cls(1)._small
+    return tuple(core._SPANS[r] for r in ranks if 1 << r >= small)
 
 
 class TestHighUpkeep:
     def test_validate_reports_it_stale(self):
         bwa = BlackWhiteArray.from_values(range(300))   # 256 and 44 slots
-        assert bwa._high == _spans(8)
+        assert bwa._high == _spans(BlackWhiteArray, 8, 6)
         bwa._high = ()
         assert bwa.validate() == ["walk's high ranks () stale for total 320"]
 
@@ -46,8 +51,8 @@ class TestHighUpkeep:
         bwa = cls(1)
         for v in range(1100):
             bwa.insert(v)
-            assert bwa._high == core._high(bwa.total), v
-        assert bwa._high == _spans(10)      # 1100 = 1024 + 64 + 8 + 4
+            assert bwa._high == core._high(bwa.total, bwa._small), v
+        assert bwa._high == _spans(cls, 10, 6, 3, 2)    # 1024 + 64 + 8 + 4
         _kept(bwa)
 
     @pytest.mark.parametrize("cls", CLASSES)
@@ -56,11 +61,11 @@ class TestHighUpkeep:
         # 512 lands below rank 10 and keeps it
         bwa = cls.from_values(range(256))
         bwa.insert_many(range(256))
-        assert bwa._high == _spans(9)
+        assert bwa._high == _spans(cls, 9)
         bwa.insert_many(range(1024 - 512))
-        assert bwa._high == _spans(10)
+        assert bwa._high == _spans(cls, 10)
         bwa.insert_many(range(768))         # blocks of 512 and 256
-        assert bwa._high == _spans(10, 9, 8)
+        assert bwa._high == _spans(cls, 10, 9, 8)
         _kept(bwa)
 
     @pytest.mark.parametrize("cls", CLASSES)
@@ -69,37 +74,52 @@ class TestHighUpkeep:
         # taken rank 7, written back up into rank 8; onto a taken rank 8,
         # written back up into rank 9; and onto a taken rank 9 above an
         # active rank 8, which stays
-        for n, deletes, want in ((512, 256, _spans(8)), (256, 128, ()),
-                                 (384, 128, _spans(8)),
-                                 (768, 256, _spans(9)),
-                                 (1792, 512, _spans(10, 8))):
+        for n, deletes, ranks in ((512, 256, (8,)), (256, 128, (7,)),
+                                  (384, 128, (8,)), (768, 256, (9,)),
+                                  (1792, 512, (10, 8))):
             bwa = cls.from_values(range(n))
             for v in range(deletes):
                 bwa.delete(v)
             assert bwa.counters.demotes == 1
-            assert bwa._high == want, n
+            assert bwa._high == _spans(cls, *ranks), n
             _kept(bwa)
 
     @pytest.mark.parametrize("cls", CLASSES)
     def test_compact_adopts_it(self, cls):
+        # with the whole state of a bulk build of the live values at the
+        # same capacity, the views of its slots and mask included, and the
+        # same Counters object
         bwa = cls(1)
         for v in range(1500):
             bwa.insert(v)
-        assert bwa._high == _spans(10, 8)   # and five ranks below 2**8
+        assert bwa._high == _spans(cls, 10, 8, 7, 6, 4, 3, 2)
+        live, counters = bwa._live(), bwa.counters
         bwa.compact()
-        assert bwa.total == 1536 and bwa._high == _spans(10, 9)
+        assert bwa.total == 1536 and bwa._high == _spans(cls, 10, 9)
         _kept(bwa)
+        built = cls.from_values(live, bwa.cap_exp)
+        assert bwa.counters is counters
+        assert vars(bwa).keys() == vars(built).keys()
+        for k, v in vars(built).items():
+            if k != "counters":
+                assert _contents(vars(bwa)[k]) == _contents(v), k
+        bwa.insert_many(range(300))         # through the adopted views
+        for v in range(0, 1500, 2):
+            bwa.delete(v)
+        _kept(bwa)
+        assert list(bwa) == sorted([*range(1, 1500, 2), *range(300)])
 
     @pytest.mark.parametrize("cls", CLASSES)
     def test_grow(self, cls):
         bwa = cls(9, "grow")
         bwa.insert_many(range(511))
-        assert bwa._high == _spans(8)
+        assert bwa._high == _spans(cls, 8, 7, 6, 5, 4, 3, 2, 1, 0)
         bwa.insert(511)                     # full: grows, then carries
-        assert bwa.cap_exp == 10 and bwa._high == _spans(9)
+        assert bwa.cap_exp == 10 and bwa._high == _spans(cls, 9)
         _kept(bwa)
         bwa.insert_many(range(700))         # grows to 2**11: 1212 values
-        assert bwa.cap_exp == 11 and bwa._high == _spans(10)
+        assert bwa.cap_exp == 11
+        assert bwa._high == _spans(cls, 10, 7, 5, 4, 3, 2)
         _kept(bwa)
 
     @pytest.mark.parametrize("cls", CLASSES)
@@ -108,13 +128,15 @@ class TestHighUpkeep:
         for v in range(0, 700, 3):
             bwa.insert(v)
         for other in (copy.deepcopy(bwa), pickle.loads(pickle.dumps(bwa))):
-            assert other._high == bwa._high == core._high(bwa.total)
+            assert other._high == bwa._high == core._high(bwa.total,
+                                                          bwa._small)
             _kept(other)
             for p in (-1, 0, 5, 350, 699, 700):
                 assert other.search(p) == bwa.search(p)
                 assert other.lower_bound(p) == bwa.lower_bound(p)
             other.insert_many(range(300))
-            assert other._high == core._high(other.total) != bwa._high
+            assert other._high == core._high(other.total,
+                                             other._small) != bwa._high
 
     @pytest.mark.parametrize("cls", CLASSES)
     def test_random_history(self, cls):
@@ -138,7 +160,7 @@ class TestHighUpkeep:
                     bwa.extract_min()
                 else:
                     bwa.extract_max()
-                assert bwa._high == core._high(bwa.total)
+                assert bwa._high == core._high(bwa.total, bwa._small)
             _kept(bwa)
         assert bwa.counters.demotes > 50
 
