@@ -109,14 +109,17 @@ class Counters:
     the run's own slots, and what a two-pointer merge of each pair's
     occupied values compares.  Ranks 0 and 1 are full when active, so a
     carry into 2 or 4 slots has the runs (1, 1) or (1, 1, 2), and the few
-    comparisons that sort them give its count: 1, or 3 or 4; any other such
-    write is counted by ``_chain_comparisons`` from its runs as gathered in
-    the destination, before one sort orders them.  An ``insert_many`` block,
-    and each rank ``compact`` writes, is sorted, not merged pairwise: one
-    merge, ``2**r`` moves and no comparisons.  Beyond writes, an insert into
-    rank 0 and a delete move one slot each, and a demotion counts one
-    ``demotes``.  Bridge builds and the search filter's upkeep charge
-    nothing.  ``from_values`` leaves every counter at 0.
+    comparisons with which ``insert`` sorts them give its count: 1, or 3
+    or 4; any other such write is counted by ``_chain_comparisons`` from
+    its runs as gathered in the destination, before one sort orders them.
+    An ``insert_many`` block, and each rank ``compact`` writes, is sorted,
+    not merged pairwise: one merge, ``2**r`` moves and no comparisons.
+    Beyond writes, an insert into rank 0 and a delete move one slot each,
+    and a demotion counts one ``demotes``; rank 1's, a re-insert of its
+    survivor, is charged that insert: 1 comparison, 1 merge and 3 moves
+    with rank 0's value into rank 1, or 1 move into rank 0.  Bridge builds
+    and the search filter's upkeep charge nothing.  ``from_values`` leaves
+    every counter at 0.
     """
 
     comparisons: int = 0
@@ -253,7 +256,8 @@ class BlackWhiteArray:
     """
 
     _LOOKAHEAD = 16   # slots of a lower segment per bridge entry (a power of 2)
-    _BRIDGED = 1 << 14  # segments of more slots get a bridge, see _bridge
+    _BRIDGED = 1 << 14  # segments of more slots get a bridge, see _bridge;
+                        # at least 4, as ``insert``'s closed form assumes
 
     def __init__(self, cap_exp: int, policy: GrowthPolicy | str = GrowthPolicy.GROW,
                  dtype=np.int64) -> None:
@@ -369,7 +373,11 @@ class BlackWhiteArray:
     def insert(self, value) -> None:
         """Add one value; duplicates accumulate.  A value the dtype cannot
         hold exactly raises as in ``insert_many`` and changes nothing, even
-        when a full structure would raise CapacityExceeded or grow."""
+        when a full structure would raise CapacityExceeded or grow.
+
+        A carry into 2 or 4 slots is written here: ranks 0 and 1 are full
+        when active, so its runs are (1, 1) or (1, 1, 2), sorted and
+        counted in closed form.  A larger carry is ``_write``'s."""
         if type(value) is not int and isinstance(value, np.integer):
             value = int(value)              # compared exactly, as Python ints are
         total = self._total
@@ -394,9 +402,43 @@ class BlackWhiteArray:
             self._occ[0] = 1
             self._total = total + 1
             self.counters.moves += 1
+        elif s <= 4:
+            # into rank s >> 1, neither bridged nor in the walk's high part
+            # (``_BRIDGED``); the chain's charge is s >> 1 merges and
+            # 2 * s - 1 moves (``Counters``)
+            mask = self._mask
+            x, y = wv[s], wv[1]
+            p, q = (x, y) if x <= y else (y, x)
+            if s == 2:
+                wv[2], wv[3] = p, q
+                mask[2] = mask[3] = 1
+                cmp = 1
+            else:                           # then (p, q) with rank 1's (c, d)
+                c, d = wv[2], wv[3]
+                if q <= c:
+                    wv[4], wv[5], wv[6], wv[7] = p, q, c, d
+                    cmp = 3
+                elif d < p:
+                    wv[4], wv[5], wv[6], wv[7] = c, d, p, q
+                    cmp = 3
+                else:                       # the runs interleave: c < q, p <= d
+                    wv[4], wv[5] = (p, c) if p <= c else (c, p)
+                    wv[6], wv[7] = (q, d) if q <= d else (d, q)
+                    cmp = 4
+                mask[4] = mask[5] = mask[6] = mask[7] = 1
+            occ = self._occ
+            occ[0] = occ[1] = 0
+            occ[s >> 1] = s
+            self._total = total + 1
+            ctr = self.counters
+            ctr.comparisons += cmp
+            ctr.merges += s >> 1
+            ctr.moves += 2 * s - 1
         else:
             # the carry of total + 1: the value and the ranks below s into s
             self._write(s.bit_length() - 1, 1, 0, True)
+
+    _insert = insert    # ``_demote``'s re-insert, past a subclass's ``insert``
 
     def insert_many(self, values) -> None:
         """Add every value of ``values``, leaving slot for slot the state
@@ -752,7 +794,9 @@ class BlackWhiteArray:
         """Fill white rank ``rank`` with the run of ``k`` values waiting in
         its first ``k`` slots and the occupied slots of ranks ``low .. rank
         - 1`` (``[2**low, 2**rank)``, which it clears), sorted with ties in
-        that order, the void tail padded with the largest value.  ``chain``
+        that order, the void tail padded with the largest value: every
+        write but ``insert``'s carries into 2 and 4 slots, in one shape,
+        the sources gathered behind the run and one sort.  ``chain``
         says the run is sorted and charges the pairwise chain (``Counters``
         states both charges).  Into a filtered rank, a sorted run joins the
         filter.  A chain's run is there already, as are the values of the
@@ -769,51 +813,24 @@ class BlackWhiteArray:
         small = self._small
         if s < small and not chain:
             self._filter.update(self._white[s:s + k].tolist())
-        if 2 <= s <= 4 and not low:
-            # one value with rank 0 and, into 4 slots, rank 1, both full
-            # when active: the runs (1, 1) or (1, 1, 2), sorted and counted
-            # in closed form
-            wv, mask = self._wv, self._mask
-            x, y = wv[s], wv[1]
-            p, q = (x, y) if x <= y else (y, x)
-            if s == 2:
-                wv[2], wv[3] = p, q
-                mask[2] = mask[3] = 1
-                cmp = 1
-            else:                           # then (p, q) with rank 1's (c, d)
-                c, d = wv[2], wv[3]
-                if q <= c:
-                    wv[4], wv[5], wv[6], wv[7] = p, q, c, d
-                    cmp = 3
-                elif d < p:
-                    wv[4], wv[5], wv[6], wv[7] = c, d, p, q
-                    cmp = 3
-                else:                       # the runs interleave: c < q, p <= d
-                    wv[4], wv[5] = (p, c) if p <= c else (c, p)
-                    wv[6], wv[7] = (q, d) if q <= d else (d, q)
-                    cmp = 4
-                mask[4] = mask[5] = mask[6] = mask[7] = 1
-            occ[0] = occ[1] = 0
-            n = s
-        else:
-            counts = occ[low:rank]          # none: the run alone
-            n = sum(counts)
-            voids = n < s - a               # a source slot is void
-            white, wmask = self._white, self._wmask
-            n += k
-            if counts:                      # gathered behind the run, the
-                white[s + k:s + n] = (      # mask read only over a void
-                    white[a:s][wmask[a:s]] if voids else white[a:s])
-                if chain:
-                    cmp = _chain_comparisons(self._wv, [k, *counts], s)
-                self._sort(white[s:s + n], chain)
-            elif not chain:                 # a lone sorted run is in order
-                self._sort(white[s:s + n], False)
-            wmask[s:s + n] = True
-            if n < s:                       # the void tail
-                white[s + n:s << 1] = white[s + n - 1]
-                wmask[s + n:s << 1] = False
-            occ[low:rank] = [0] * (rank - low)
+        counts = occ[low:rank]              # none: the run alone
+        n = sum(counts)
+        voids = n < s - a                   # a source slot is void
+        white, wmask = self._white, self._wmask
+        n += k
+        if counts:                          # gathered behind the run, the
+            white[s + k:s + n] = (          # mask read only over a void
+                white[a:s][wmask[a:s]] if voids else white[a:s])
+            if chain:
+                cmp = _chain_comparisons(self._wv, [k, *counts], s)
+            self._sort(white[s:s + n], chain)
+        elif not chain:                     # a lone sorted run is in order
+            self._sort(white[s:s + n], False)
+        wmask[s:s + n] = True
+        if n < s:                           # the void tail
+            white[s + n:s << 1] = white[s + n - 1]
+            wmask[s + n:s << 1] = False
+        occ[low:rank] = [0] * (rank - low)
         occ[rank] = n
         total = self._total
         self._total = total & ~(s - a) | s
@@ -903,23 +920,42 @@ class BlackWhiteArray:
         Requires occupancy exactly half, so the survivors fill the lower
         segment completely.  If the lower rank already holds data, they are
         written back into ``rank`` with it; either way occupancy ends above 75%.
+
+        Rank 1's one survivor is inserted again by this class's ``insert``
+        (``_insert``, which a subclass's wrapper of ``insert`` does not
+        see): into rank 0, or with rank 0's value into rank 1, with the
+        slots and charges of either move.  When the filter's add in that
+        insert raises, no slot but the survivor's destination has changed,
+        and rank 1 is made active again, as the void left it.
         """
-        s = 1 << rank
-        k = self._occ[rank]
-        taken = (self._total >> (rank - 1)) & 1
-        d = s if taken else s >> 1          # the destination, where the
-        self._white[d:d + k] = (            # survivors wait
-            self._white[s:s << 1][self._wmask[s:s << 1]])
-        if d < self._small <= s:            # into the filtered ranks
-            self._filter.update(self._white[d:d + k].tolist())
-        if not taken:                       # rank - 1 is free: move there
-            self._occ[rank] = 0
-            self._total -= s
-            self._links[rank] = None        # a bridge needs an active rank
-            if s >= self._small:            # out of the walk's high part
-                n = (self._total >> rank).bit_count()
-                self._high = self._high[:n] + self._high[n + 1:]
-        self._write(rank - 1 + taken, k, rank - 1, True)
+        if rank == 1:
+            wv = self._wv
+            v = wv[2] if self._mask[2] else wv[3]
+            self._occ[1] = 0
+            self._total -= 2
+            try:
+                self._insert(v)
+            except MemoryError:             # from the filter's add
+                self._occ[1] = 1
+                self._total += 2
+                raise
+        else:
+            s = 1 << rank
+            k = self._occ[rank]
+            taken = (self._total >> (rank - 1)) & 1
+            d = s if taken else s >> 1      # the destination, where the
+            self._white[d:d + k] = (        # survivors wait
+                self._white[s:s << 1][self._wmask[s:s << 1]])
+            if d < self._small <= s:        # into the filtered ranks
+                self._filter.update(self._white[d:d + k].tolist())
+            if not taken:                   # rank - 1 is free: move there
+                self._occ[rank] = 0
+                self._total -= s
+                self._links[rank] = None    # a bridge needs an active rank
+                if s >= self._small:        # out of the walk's high part
+                    n = (self._total >> rank).bit_count()
+                    self._high = self._high[:n] + self._high[n + 1:]
+            self._write(rank - 1 + taken, k, rank - 1, True)
         self.counters.demotes += 1
         if len(self._filter) > self._small << 1:
             self._refilter()

@@ -1,7 +1,15 @@
+from hypothesis import Phase, settings
 import numpy as np
 import pytest
 
 from bwa import BlackWhiteArray
+
+# ``tests/mutants.py`` runs each test under this profile: a kill needs only
+# the first failure, and shrinking a failing stateful machine can take
+# minutes; a plain run keeps hypothesis's default profile
+settings.register_profile(
+    "mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                       Phase.target))
 
 
 def owned_bytes(bwa) -> int:

@@ -5,7 +5,9 @@ A patch replaces one exact string of the module, which must occur there
 exactly once (``tests/test_mutants.py`` checks that).  For each patch,
 ``python tests/mutants.py [name ...]`` copies ``src``, ``tests`` and
 ``pyproject.toml`` into a temporary directory, applies the patch there and
-runs each test the patch names on its own.  The mutant is *killed* when
+runs each test the patch names on its own, under the hypothesis profile
+``mutants`` (``tests/conftest.py``), which does not shrink a failing
+example.  The mutant is *killed* when
 every one of them fails, and *survived* when any passes; the exit status is
 1 unless every mutant run is killed.  The tests are named by pytest node
 id, a stateful machine by its ``TestCase``; each mutant of the walk's high
@@ -23,6 +25,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 CORE = "src/bwa/core.py"
+PROFILE = "mutants"     # registered in tests/conftest.py
 
 
 class Mutant(NamedTuple):
@@ -46,9 +49,10 @@ MUTANTS = (
             "tests/test_pairwise.py",
             "tests/test_stateful.py::TestNarrowQuerySurface")),
     Mutant("high-demote-kept",
-           "                n = (self._total >> rank).bit_count()\n"
-           "                self._high = self._high[:n] + self._high[n + 1:]\n",
-           "                pass\n",
+           "                    n = (self._total >> rank).bit_count()\n"
+           "                    self._high = self._high[:n]"
+           " + self._high[n + 1:]\n",
+           "                    pass\n",
            ("tests/test_walk.py::TestHighUpkeep::test_demotions",
             "tests/test_pairwise.py",
             "tests/test_stateful.py::TestNarrowQuerySurface")),
@@ -98,6 +102,51 @@ MUTANTS = (
            "if hi <= wv[b - 1]:",
            ("tests/test_augment.py::TestInterval::test_window_edges",
             "tests/test_stateful.py::TestFloatQuerySurface")),
+    Mutant("closed-form-tie-to-rank-0",
+           "if x <= y",
+           "if x < y",
+           ("tests/test_pairwise.py"
+            "::test_every_four_slot_carry_matches_pairwise_chain",
+            "tests/test_pairwise.py"
+            "::test_rank_one_demotion_matches_pairwise_chain")),
+    Mutant("closed-form-low-pair-strict",
+           "if q <= c:",
+           "if q < c:",
+           ("tests/test_pairwise.py"
+            "::test_every_four_slot_carry_matches_pairwise_chain",
+            "tests/test_pairwise.py"
+            "::test_one_write_carry_matches_pairwise_chain")),
+    Mutant("closed-form-high-pair-loose",
+           "elif d < p:",
+           "elif d <= p:",
+           ("tests/test_pairwise.py"
+            "::test_every_four_slot_carry_matches_pairwise_chain",
+            "tests/test_pairwise.py"
+            "::test_one_write_carry_matches_pairwise_chain")),
+    Mutant("demote-survivor-from-3",
+           "v = wv[2] if self._mask[2] else wv[3]",
+           "v = wv[3]",
+           ("tests/test_pairwise.py"
+            "::test_rank_one_demotion_matches_pairwise_chain",
+            "tests/test_core.py::TestRankOneDemotion",
+            "tests/test_stateful.py::TestIntQuerySurface")),
+    Mutant("demote-uncounted",
+           "self.counters.demotes += 1",
+           "self.counters.demotes += 0",
+           ("tests/test_pairwise.py"
+            "::test_rank_one_demotion_matches_pairwise_chain",
+            "tests/test_core.py::TestRankOneDemotion")),
+    Mutant("demote-refilter-dropped",
+           "        self.counters.demotes += 1\n"
+           "        if len(self._filter) > self._small << 1:\n"
+           "            self._refilter()\n",
+           "        self.counters.demotes += 1\n",
+           ("tests/test_filter.py::TestUpkeep"
+            "::test_rank_one_demotions_alone_keep_it_bounded",)),
+    Mutant("demote-undo-dropped",
+           "                self._total += 2\n",
+           "                pass\n",
+           ("tests/test_core.py::TestRankOneDemotion",)),
 )
 
 
@@ -121,7 +170,8 @@ def _fails(node: str, where: Path) -> bool:
     a test failure (collection, usage) raises."""
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         node], cwd=where, capture_output=True, text=True)
+         f"--hypothesis-profile={PROFILE}", node],
+        cwd=where, capture_output=True, text=True)
     if run.returncode not in (0, 1):
         raise SystemExit(f"pytest {node} exited {run.returncode}:\n"
                          f"{run.stdout[-2000:]}{run.stderr[-2000:]}")

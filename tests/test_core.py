@@ -300,6 +300,66 @@ class TestWriteUnit:
         assert bwa.validate() == []
 
 
+class _FailingFilter(set):
+    """A search filter whose ``add`` fails, as the growth of a set's table
+    can."""
+
+    def add(self, value):
+        raise MemoryError("filter add failed")
+
+
+def _active(bwa, void=None):
+    """``total``, the occupancy, the counters, and the slot and mask bytes
+    of every active rank, the slot ``void`` by its mask byte alone."""
+    c = bwa.counters
+    out = [bwa.total, bwa.occupancy,
+           (c.comparisons, c.moves, c.merges, c.demotes, c.grows)]
+    for r in range(bwa.cap_exp):
+        if bwa.is_active(r):
+            s = 1 << r
+            out.append([None if i == void else bwa._white[i:i + 1].tobytes()
+                        for i in range(s, s << 1)])
+            out.append(bytes(bwa._mask[s:s << 1]))
+    return out
+
+
+class TestRankOneDemotion:
+    @pytest.mark.parametrize("taken", [True, False],
+                             ids=["rank-0-taken", "rank-0-free"])
+    @pytest.mark.parametrize("op, args", [
+        ("delete", (10,)), ("delete", (20,)), ("extract_min", ()),
+        ("extract_max", ())], ids=["delete-10", "delete-20", "extract_min",
+                                   "extract_max"])
+    def test_failed_reinsert_is_undone(self, taken, op, args):
+        # rank 2 holds 11-14, rank 1 [10, 20] and, when taken, rank 0 15:
+        # the op voids one of rank 1's values, and the re-insert of the
+        # other fails at the filter's add
+        bwa = BlackWhiteArray(4, "fixed")
+        bwa.insert_many([11, 12, 13, 14])
+        bwa.insert(20)
+        bwa.insert(10)
+        if taken:
+            bwa.insert(15)
+        twin = copy.deepcopy(bwa)           # runs the op to its end
+        voided = copy.deepcopy(bwa)         # runs it up to the demotion
+        voided._demote = lambda rank: None
+        getattr(voided, op)(*args)
+        void = 2 if voided._mask[3] else 3
+        bwa._filter = _FailingFilter(bwa._filter)
+        with pytest.raises(MemoryError):
+            getattr(bwa, op)(*args)
+        # the state the void left, which validate() reports for rank 1
+        assert _active(bwa, void) == _active(voided, void)
+        assert bwa.validate() == ["rank 1: occupancy 1/2 not above one half"]
+        # the demotion run again completes the op
+        bwa._filter = set(bwa._filter)
+        bwa._demote(1)
+        getattr(twin, op)(*args)
+        assert bwa.validate() == []
+        assert _active(bwa) == _active(twin)
+        assert twin.counters.demotes == 1
+
+
 class TestCapacity:
     def test_grow_once_at_power_of_two(self):
         bwa = BlackWhiteArray(10, "grow")

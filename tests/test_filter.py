@@ -206,6 +206,20 @@ class TestUpkeep:
         _agree(bwa, range(19970, 20001))
 
     @pytest.mark.parametrize("cls", CLASSES)
+    def test_rank_one_demotions_alone_keep_it_bounded(self, cls):
+        # ranks 1 and 0 only: each value joins rank 0, and deleting rank
+        # 1's smaller value demotes it onto rank 0 and writes both back,
+        # with no carry and no deactivation of rank 0 to prune the filter
+        bwa = cls(3)
+        bwa.insert_many([0, 1])
+        for v in range(2, 3 * bwa._small):
+            bwa.insert(v)
+            assert bwa.delete(v - 2) == 2
+            assert len(bwa._filter) < 3 * bwa._small
+        assert bwa.total == 2 and bwa.counters.demotes == 3 * bwa._small - 2
+        _agree(bwa, range(3 * bwa._small))
+
+    @pytest.mark.parametrize("cls", CLASSES)
     def test_demotion_into_the_filtered_ranks(self, cls):
         # the lowest unfiltered rank, alone, falls to half and moves down
         n = cls(1)._small

@@ -9,7 +9,10 @@ and all five counters.  Every carry into 4 slots over two small domains,
 and sampled carries into 8 slots over a void and into 16 and 32 slots,
 full or over voids in several ranks, as well as demotions written back up
 into 16 and 32 slots, must leave the same slot bytes, so the order of tied
-values (-0.0 and 0.0) is pinned too.
+values (-0.0 and 0.0) is pinned too; so must every demotion of rank 1 by a
+delete or an extraction, onto a taken or a free rank 0.  A one-value
+``insert_many`` block into 2 or 4 slots must leave the slots the scalar
+insert leaves.
 """
 
 import itertools
@@ -225,3 +228,62 @@ def test_batches_of_tied_floats_match_pairwise_chain():
             assert a.cap_exp == b.cap_exp and a.total == b.total
             assert [_slots(a, r) for r in active] == \
                 [_slots(b, r) for r in active], batch
+
+
+def _active(bwa):
+    return [_slots(bwa, r) for r in range(bwa.cap_exp) if bwa.is_active(r)]
+
+
+@pytest.mark.parametrize("dtype", sorted(SMALL))
+@pytest.mark.parametrize("above", [False, True], ids=["alone", "below-2"])
+def test_rank_one_demotion_matches_pairwise_chain(dtype, above):
+    # rank 1 from two values and, with a third, rank 0 from it, alone or
+    # below a rank 2 of the domain's ends, which an extraction reaches
+    # after the lower ranks on a tie; a delete or an extraction voids a
+    # value, which demotes rank 1 when the value was rank 1's: its survivor
+    # goes into rank 0, or with rank 0's value back into rank 1
+    domain = SMALL[dtype]
+    ends = (domain[0], domain[-1]) * 2 if above else ()
+    ops = [("delete", (x,)) for x in domain] + [("extract_min", ()),
+                                                ("extract_max", ())]
+    seen = set()
+    for n in (2, 3):
+        for values in itertools.product(domain, repeat=n):
+            for op, args in ops:
+                pair = []
+                for cls in (BlackWhiteArray, PairwiseChain):
+                    bwa = cls(4, dtype=dtype)
+                    for v in ends + values:
+                        bwa.insert(v)
+                    pair.append((bwa, getattr(bwa, op)(*args)))
+                (a, got), (b, want) = pair
+                assert repr(got) == repr(want), (values, op, args)
+                assert _active(a) == _active(b), (values, op, args)
+                if a.counters.demotes:
+                    seen.add((n, op))
+    # every op demotes rank 1 onto a taken and onto a free rank 0
+    assert seen == {(n, op) for n in (2, 3)
+                    for op in ("delete", "extract_min", "extract_max")}
+
+
+@pytest.mark.parametrize("dtype", sorted(SMALL))
+def test_one_value_blocks_into_two_and_four_slots_match_scalar_loop(dtype):
+    # total 1 or 3 (and 5, below a rank of 4 slots), then one value as an
+    # insert_many block: the carry's slots as the scalar insert leaves
+    # them, charged as a block, one merge and the destination's slots
+    for n in (1, 3, 5):
+        for values in itertools.product(SMALL[dtype], repeat=n + 1):
+            a = BlackWhiteArray(4, dtype=dtype)
+            b = BlackWhiteArray(4, dtype=dtype)
+            for v in values[:-1]:
+                a.insert(v)
+                b.insert(v)
+            before = vars(a.counters).copy()
+            a.insert_many(values[-1:])
+            b.insert(values[-1])
+            s = (n + 1) & ~n
+            rank = s.bit_length() - 1
+            assert _slots(a, rank)[:4] == _slots(b, rank)[:4], values
+            assert vars(a.counters) == before | {
+                "merges": before["merges"] + 1,
+                "moves": before["moves"] + s}
