@@ -47,7 +47,9 @@ about ``_LOOKAHEAD`` slots.
 Probes read single slots through a ``memoryview`` of the slots, as plain
 Python scalars compared exactly with a probe of any numeric type; numpy
 works whole ranges (writes, drains, bridges), reading the mask as a bool
-array over the same bytes.
+array over the same bytes, and searches the top segment from ``_NATIVE``
+(2**19) slots on int64 for an int probe, where its one call costs less
+than the bisection's boxed compares (``_build_views``).
 
 Thread-safety: none is provided.  Mutating calls need exclusive access;
 read-only calls (search, bounds, extremes, interval, iteration, stats,
@@ -78,6 +80,12 @@ class CapacityExceeded(RuntimeError):
     """Insert into a full array under the fixed growth policy."""
 
 
+class _Undone(MemoryError):
+    """A rank-1 demotion whose re-insert raised, undone with the delete
+    that voided rank 1 (``BlackWhiteArray._demote``); the op that deleted
+    takes back its own charges."""
+
+
 @dataclass
 class Counters:
     """Cost instrumentation.
@@ -86,9 +94,11 @@ class Counters:
     A query probes each active segment with one bisection over a window of
     ``w`` slots, charged ``w.bit_length()`` (the most a bisection over ``w``
     slots takes): ``r + 1`` for a whole rank-``r`` segment, less where a
-    bridge narrows the window.  A search then compares the slot at the
-    bisection point with the probe (1), and the next occupied slot as well
-    (1) when that slot is a void holding the probe.  A rank is charged so
+    bridge narrows the window.  The top segment is charged ``r + 1``
+    however it is searched, by ``bisect`` or by numpy (``_NATIVE``).  A
+    search then compares the slot at the bisection point with the probe
+    (1), and the next occupied slot as well (1) when that slot is a void
+    holding the probe.  A rank is charged so
     without being bisected when the search filter rules the probe out of
     it (``BlackWhiteArray.search``): ``r + 1``, and 1 more unless its last
     slot is below the probe.  Bounds and extremes
@@ -197,6 +207,10 @@ def _layout(n: int, cap_exp: int) -> list[tuple[int, int]]:
 # high part the writers keep (``_high``), then the low part of ``_LOW``
 _SPANS = tuple((1 << r, 2 << r, r + 1) for r in range(64))
 
+# the ints an int64 slot holds, the probes numpy's search takes
+# (``BlackWhiteArray._build_views``)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
 # the ranks of fewer slots than an instance's bound ``_small``, at most this,
 # keep the values of their slots in a set, which lets a search miss skip them
 # (``BlackWhiteArray.search``); ``_LOW`` and ``_MISSED`` cover the ranks
@@ -258,6 +272,8 @@ class BlackWhiteArray:
     _LOOKAHEAD = 16   # slots of a lower segment per bridge entry (a power of 2)
     _BRIDGED = 1 << 14  # segments of more slots get a bridge, see _bridge;
                         # at least 4, as ``insert``'s closed form assumes
+    _NATIVE = 1 << 19   # a top segment of this many slots or more is searched
+                        # by numpy (_build_views); a power of 2 above _BRIDGED
 
     def __init__(self, cap_exp: int, policy: GrowthPolicy | str = GrowthPolicy.GROW,
                  dtype=np.int64) -> None:
@@ -272,6 +288,12 @@ class BlackWhiteArray:
         n = 1 << cap_exp
         self._white = np.zeros(n, dtype=self.dtype)
         self._mask = bytearray(n)           # 1 per occupied slot
+        # numpy searches a top segment of _native slots or more
+        # (_build_views) on int64 alone, the dtype it gives an int probe:
+        # on any other it would search in the two dtypes' common one,
+        # converting the whole segment (to float64 on uint64, which
+        # rounds the probe); no segment has 2**64 slots
+        self._native = self._NATIVE if self.dtype == np.int64 else 1 << 64
         self._build_views()
         self._occ = [0] * cap_exp       # occupied-slot count per white rank
         self._links = [None] * cap_exp  # bridge per white rank, see _bridge
@@ -284,10 +306,12 @@ class BlackWhiteArray:
         self.counters = Counters()
 
     def __getstate__(self) -> dict:
-        # memoryviews do not pickle, and the mask's bool view would come
-        # back as a copy of it; __setstate__ builds them again
+        # memoryviews do not pickle, and the mask's bool view and the
+        # segments' views would come back as copies; __setstate__ builds
+        # them again
         return {k: v for k, v in self.__dict__.items()
-                if k != "_wmask" and not isinstance(v, memoryview)}
+                if k not in ("_wmask", "_views")
+                and not isinstance(v, memoryview)}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -488,11 +512,22 @@ class BlackWhiteArray:
         self.__dict__ = vars(fresh)
 
     def delete(self, value) -> Optional[int]:
-        """Void one occurrence; returns the slot index it held, or None."""
+        """Void one occurrence; returns the slot index it held, or None.
+        A delete whose demotion of rank 1 raises leaves the structure and
+        its counters as they were (``_demote``)."""
         idx = self.search(value)
         if idx is None:
             return None
-        self._delete_at(idx)
+        try:
+            self._delete_at(idx)
+        except _Undone:
+            # the demotion has undone the void; the search's charge goes
+            # too, which the same search of the state it read repeats
+            ctr = self.counters
+            charged = ctr.comparisons
+            self.search(value)
+            ctr.comparisons = 2 * charged - ctr.comparisons
+            raise
         return idx
 
     def extract_min(self):
@@ -524,16 +559,22 @@ class BlackWhiteArray:
         cmp = i = 0
         while True:
             for s, e, c in walk:
-                if s <= bridged or (link := links[c - 1]) is None:
-                    # a small rank, or the top
+                if s <= bridged:            # a small rank
                     i = bisect_left(wv, value, s, e)
                     cmp += c
-                else:                       # i is the rank above's point
-                    m, base, shift = link
+                elif (link := links[c - 1]) is not None:
+                    m, base, shift = link   # i is the rank above's point
                     j = (i - base) >> shift
                     a, b = m[j], m[j + 1]
                     i = bisect_left(wv, value, a, b)
                     cmp += (b - a).bit_length()
+                else:                       # the top: numpy's search from
+                    # _native slots on, for an int probe int64 holds
+                    i = (operator.index(self._views[c - 1].searchsorted(value))
+                         + s if s >= self._native and type(value) is int
+                         and _INT64_MIN <= value <= _INT64_MAX
+                         else bisect_left(wv, value, s, e))
+                    cmp += c
                 if i == e:
                     continue
                 cmp += 1
@@ -597,15 +638,21 @@ class BlackWhiteArray:
         out = []
         cmp = i = 0
         for s, e, c in walk:
-            if s <= bridged or (link := links[c - 1]) is None:
-                i = bisect_left(wv, lo, s, e)   # a small rank, or the top
+            if s <= bridged:                # a small rank
+                i = bisect_left(wv, lo, s, e)
                 cmp += c
-            else:                           # i is the rank above's point
-                m, base, shift = link
+            elif (link := links[c - 1]) is not None:
+                m, base, shift = link       # i is the rank above's point
                 j = (i - base) >> shift
                 a, b = m[j], m[j + 1]
                 i = bisect_left(wv, lo, a, b)
                 cmp += (b - a).bit_length()
+            else:                           # the top, as ``search`` takes it
+                i = (operator.index(self._views[c - 1].searchsorted(lo)) + s
+                     if s >= self._native and type(lo) is int
+                     and _INT64_MIN <= lo <= _INT64_MAX
+                     else bisect_left(wv, lo, s, e))
+                cmp += c
             if i == e:
                 continue
             cmp += 1
@@ -697,6 +744,17 @@ class BlackWhiteArray:
             if link != want:
                 problems.append(f"rank {rank}: bridge "
                                 f"{'missing' if link is None else 'stale'}")
+        want = range(self._native.bit_length() - 1, self.cap_exp)
+        if sorted(self._views) != list(want):
+            problems.append(f"segment views of ranks {sorted(self._views)}, "
+                            f"not {list(want)}")
+        for rank, view in self._views.items():
+            s = 1 << rank
+            # the same address, shape, strides and dtype as the slots'
+            if (view.__array_interface__
+                    != self._white[s:s << 1].__array_interface__):
+                problems.append(f"rank {rank}: segment view stale (not "
+                                "over the current slots)")
         return problems
 
     def dump(self) -> str:
@@ -736,9 +794,23 @@ class BlackWhiteArray:
 
     def _build_views(self) -> None:
         """The slot view for the probe path and the scalar insert's check,
-        and the mask as numpy's writable bool view of the same bytes."""
+        the mask as numpy's writable bool view of the same bytes, and a
+        view of the slots of each rank of ``_native`` slots or more: of
+        ``_NATIVE`` on int64, none on any other dtype.
+
+        A query's top step, the bisection of the highest active segment,
+        runs on that view's ``searchsorted`` when the probe is an int that
+        int64 holds, with the slot and the charge of the bisection; numpy
+        would compare a larger int with each slot as a Python object.
+        ``bisect`` over the slot view boxes every slot it compares into a
+        Python int, about 36 ns each; numpy pays a fixed 0.6 us and
+        compares in C, and is the cheaper one from about ``2**19`` slots
+        on.  A bridged step's window is short, and stays with ``bisect``.
+        """
         self._wv = self._white.data
         self._wmask = np.frombuffer(self._mask, dtype=bool)
+        self._views = {r: self._white[1 << r:2 << r] for r in
+                       range(self._native.bit_length() - 1, self.cap_exp)}
 
     def _batch(self, values) -> np.ndarray:
         """``values`` as a 1-D array of the dtype.  A batch of another shape
@@ -925,20 +997,27 @@ class BlackWhiteArray:
         (``_insert``, which a subclass's wrapper of ``insert`` does not
         see): into rank 0, or with rank 0's value into rank 1, with the
         slots and charges of either move.  When the filter's add in that
-        insert raises, no slot but the survivor's destination has changed,
-        and rank 1 is made active again, as the void left it.
+        insert raises, no slot but the survivor's destination (slot 1 or
+        2) has changed, and rank 1 is put back as it was before the delete
+        that voided it: both slots, both mask bytes, its occupancy,
+        ``total`` and the delete's move, and ``_Undone`` tells the op so.
+        A ``MemoryError`` from anywhere else is not undone.
         """
         if rank == 1:
-            wv = self._wv
-            v = wv[2] if self._mask[2] else wv[3]
+            wv, mask = self._wv, self._mask
+            a, b = wv[2], wv[3]
+            v = a if mask[2] else b
             self._occ[1] = 0
             self._total -= 2
             try:
                 self._insert(v)
-            except MemoryError:             # from the filter's add
-                self._occ[1] = 1
+            except MemoryError as err:      # from the filter's add
+                wv[2], wv[3] = a, b
+                mask[2] = mask[3] = 1
+                self._occ[1] = 2
                 self._total += 2
-                raise
+                self.counters.moves -= 1
+                raise _Undone(*err.args) from err
         else:
             s = 1 << rank
             k = self._occ[rank]
@@ -1041,15 +1120,22 @@ class BlackWhiteArray:
         best = None
         cmp = i = 0
         for s, e, c in walk:
-            if s <= bridged or (link := links[c - 1]) is None:
-                i = bisect(wv, value, s, e)     # a small rank, or the top
+            if s <= bridged:                # a small rank
+                i = bisect(wv, value, s, e)
                 cmp += c
-            else:                           # i is the rank above's point
-                m, base, shift = link
+            elif (link := links[c - 1]) is not None:
+                m, base, shift = link       # i is the rank above's point
                 j = (i - base) >> shift
                 a, b = m[j], m[j + 1]
                 i = bisect(wv, value, a, b)
                 cmp += (b - a).bit_length()
+            else:                           # the top, as ``search`` takes it
+                i = (operator.index(self._views[c - 1].searchsorted(
+                    value, "right" if above else "left")) + s
+                     if s >= self._native and type(value) is int
+                     and _INT64_MIN <= value <= _INT64_MAX
+                     else bisect(wv, value, s, e))
+                cmp += c
             if above:                       # first occupied slot > value
                 if i == e:
                     continue
@@ -1082,8 +1168,9 @@ class BlackWhiteArray:
         folded with a tie to the later candidate, the lower rank, as
         ``_nearest`` folds.  The loop tests no direction; the top
         segment's candidate starts the fold, with no compare.  Charged 1
-        comparison per fold, one fewer than the active segments.  An
-        active segment always holds an occupied slot."""
+        comparison per fold, one fewer than the active segments, taken back
+        when the removal is undone (``_Undone``).  An active segment always
+        holds an occupied slot."""
         t = self._total
         if not t:
             return None
@@ -1097,7 +1184,11 @@ class BlackWhiteArray:
             if value is None or x <= value:
                 best, value = k, x
         if remove:
-            self._delete_at(best)
+            try:
+                self._delete_at(best)
+            except _Undone:                 # total is as it was again
+                self.counters.comparisons -= self._total.bit_count() - 1
+                raise
         return value
 
     def _last(self, remove: bool):
@@ -1118,5 +1209,9 @@ class BlackWhiteArray:
             if value is None or x >= value:
                 best, value = k, x
         if remove:
-            self._delete_at(best)
+            try:
+                self._delete_at(best)
+            except _Undone:                 # as in _first
+                self.counters.comparisons -= self._total.bit_count() - 1
+                raise
         return value

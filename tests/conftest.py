@@ -29,6 +29,29 @@ class Narrow(BlackWhiteArray):
     _BRIDGED = 4
 
 
+class Native(Narrow):
+    """``Narrow``'s bridges, and numpy's search of a top segment of 8 slots
+    or more on an integer dtype, where the class searches from 2**19."""
+
+    _NATIVE = 8
+
+
+class _Recorded(np.ndarray):
+    """A segment view (``_views``) that logs its rank at each search."""
+
+    def searchsorted(self, v, side="left"):
+        self.log.append(self.rank)
+        return super().searchsorted(v, side)
+
+
+def record_native(bwa, log):
+    """Make each numpy search of a segment of ``bwa`` append its rank to
+    ``log``.  The views stay over the same slots, so ``validate()`` passes."""
+    for r, view in bwa._views.items():
+        bwa._views[r] = view.view(_Recorded)
+        bwa._views[r].rank, bwa._views[r].log = r, log
+
+
 # Eight inserts whose final one triggers a three-level merge cascade,
 # consolidating everything into the rank-3 segment.
 EIGHT = (83, 67, 59, 21, 76, 33, 45, 52)

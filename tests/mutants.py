@@ -124,8 +124,8 @@ MUTANTS = (
             "tests/test_pairwise.py"
             "::test_one_write_carry_matches_pairwise_chain")),
     Mutant("demote-survivor-from-3",
-           "v = wv[2] if self._mask[2] else wv[3]",
-           "v = wv[3]",
+           "v = a if mask[2] else b",
+           "v = b",
            ("tests/test_pairwise.py"
             "::test_rank_one_demotion_matches_pairwise_chain",
             "tests/test_core.py::TestRankOneDemotion",
@@ -147,6 +147,82 @@ MUTANTS = (
            "                self._total += 2\n",
            "                pass\n",
            ("tests/test_core.py::TestRankOneDemotion",)),
+    Mutant("demote-undo-keeps-the-void",
+           "                wv[2], wv[3] = a, b\n"
+           "                mask[2] = mask[3] = 1\n"
+           "                self._occ[1] = 2\n",
+           "                self._occ[1] = 1\n",
+           ("tests/test_core.py::TestRankOneDemotion"
+            "::test_failed_reinsert_is_undone",
+            "tests/test_core.py::TestRankOneDemotion"
+            "::test_a_carry_after_a_failed_delete")),
+    Mutant("delete-undo-charged",
+           "            ctr.comparisons = 2 * charged - ctr.comparisons\n",
+           "",
+           ("tests/test_core.py::TestRankOneDemotion"
+            "::test_failed_reinsert_is_undone",)),
+    Mutant("delete-undo-caught-wide",
+           "        except _Undone:\n"
+           "            # the demotion has undone the void",
+           "        except MemoryError:\n"
+           "            # the demotion has undone the void",
+           ("tests/test_core.py::TestRankOneDemotion"
+            "::test_a_failed_refilter_keeps_the_ops_charges",
+            "tests/test_core.py::TestRankOneDemotion"
+            "::test_a_failed_rank_two_demotion_keeps_the_ops_charges")),
+    Mutant("first-undo-uncharged",
+           "            except _Undone:                 # total is as it was"
+           " again\n"
+           "                self.counters.comparisons -= "
+           "self._total.bit_count() - 1\n",
+           "            except _Undone:\n",
+           ("tests/test_core.py::TestRankOneDemotion"
+            "::test_failed_reinsert_is_undone",)),
+    Mutant("native-side-swapped",
+           'value, "right" if above else "left")) + s',
+           'value, "left" if above else "right")) + s',
+           ("tests/test_probes.py::TestNativeStep"
+            "::test_mixed_probes_as_the_bisection",
+            "tests/test_probes.py::TestNativeStep"
+            "::test_an_int_probe_is_compared_exactly",
+            "tests/test_stateful.py::TestNativeQuerySurface")),
+    Mutant("native-probe-gate-floats",
+           "                     if s >= self._native and type(value) is int\n"
+           "                     and _INT64_MIN <= value <= _INT64_MAX\n"
+           "                     else bisect(wv, value, s, e))",
+           "                     if s >= self._native"
+           " and type(value) in (int, float)\n"
+           "                     and _INT64_MIN <= value <= _INT64_MAX\n"
+           "                     else bisect(wv, value, s, e))",
+           ("tests/test_probes.py::TestNativeStep"
+            "::test_an_int_probe_is_compared_exactly",
+            "tests/test_probes.py::TestNativeStep"
+            "::test_which_steps_are_numpys")),
+    Mutant("native-dtype-gate-dropped",
+           "self._native = self._NATIVE"
+           " if self.dtype == np.int64 else 1 << 64",
+           "self._native = self._NATIVE",
+           ("tests/test_probes.py::TestNativeStep"
+            "::test_other_dtypes_are_bisected",
+            "tests/test_probes.py::TestNativeStep"
+            "::test_mixed_probes_as_the_bisection",
+            "tests/test_probes.py::TestNativeViews"
+            "::test_the_class_builds_them_from_2_19_slots")),
+    Mutant("native-bound-exclusive",
+           "+ s if s >= self._native and type(value) is int",
+           "+ s if s > self._native and type(value) is int",
+           ("tests/test_probes.py::TestNativeStep"
+            "::test_which_steps_are_numpys",
+            "tests/test_probes.py::TestNativeStep"
+            "::test_an_int_probe_is_compared_exactly")),
+    Mutant("native-views-unchecked",
+           "            if (view.__array_interface__\n"
+           "                    != self._white[s:s << 1].__array_interface__):",
+           "            if False:",
+           ("tests/test_probes.py::TestNativeViews"
+            "::test_views_follow_the_slots",
+            "tests/test_probes.py::TestNativeViews"
+            "::test_a_view_off_the_slots_is_stale")),
 )
 
 

@@ -308,17 +308,16 @@ class _FailingFilter(set):
         raise MemoryError("filter add failed")
 
 
-def _active(bwa, void=None):
+def _active(bwa):
     """``total``, the occupancy, the counters, and the slot and mask bytes
-    of every active rank, the slot ``void`` by its mask byte alone."""
+    of every active rank."""
     c = bwa.counters
     out = [bwa.total, bwa.occupancy,
            (c.comparisons, c.moves, c.merges, c.demotes, c.grows)]
     for r in range(bwa.cap_exp):
         if bwa.is_active(r):
             s = 1 << r
-            out.append([None if i == void else bwa._white[i:i + 1].tobytes()
-                        for i in range(s, s << 1)])
+            out.append(bwa._white[s:s << 1].tobytes())
             out.append(bytes(bwa._mask[s:s << 1]))
     return out
 
@@ -340,24 +339,90 @@ class TestRankOneDemotion:
         bwa.insert(10)
         if taken:
             bwa.insert(15)
-        twin = copy.deepcopy(bwa)           # runs the op to its end
-        voided = copy.deepcopy(bwa)         # runs it up to the demotion
-        voided._demote = lambda rank: None
-        getattr(voided, op)(*args)
-        void = 2 if voided._mask[3] else 3
+        before = copy.deepcopy(bwa)
         bwa._filter = _FailingFilter(bwa._filter)
         with pytest.raises(MemoryError):
             getattr(bwa, op)(*args)
-        # the state the void left, which validate() reports for rank 1
-        assert _active(bwa, void) == _active(voided, void)
-        assert bwa.validate() == ["rank 1: occupancy 1/2 not above one half"]
-        # the demotion run again completes the op
-        bwa._filter = set(bwa._filter)
-        bwa._demote(1)
-        getattr(twin, op)(*args)
+        # the state before the op: slots, mask, occupancy, total, counters
         assert bwa.validate() == []
+        assert _active(bwa) == _active(before)
+        assert bwa._filter >= before._filter
+        # the op run again completes as on the copy
+        values = list(bwa)
+        values.remove(args[0] if args else 10 if op == "extract_min" else 20)
+        bwa._filter = set(bwa._filter)
+        assert getattr(bwa, op)(*args) == getattr(before, op)(*args)
+        assert bwa.validate() == [] and list(bwa) == values
+        assert _active(bwa) == _active(before)
+        assert before.counters.demotes == 1
+
+    def test_a_carry_after_a_failed_delete(self):
+        # rank 1 [10, 20] and rank 0 15: the failed delete(10) leaves 10
+        # live, so the carry into 4 slots writes all four values
+        bwa = BlackWhiteArray(4, "fixed")
+        for v in (20, 10, 15):
+            bwa.insert(v)
+        bwa._filter = _FailingFilter(bwa._filter)
+        with pytest.raises(MemoryError):
+            bwa.delete(10)
+        bwa._filter = set(bwa._filter)
+        bwa.insert(30)
+        assert bwa.segment_slots(2) == [10, 15, 20, 30]
+        assert bwa.occupancy == (0, 0, 4, 0) and bwa.validate() == []
+
+    @pytest.mark.parametrize("op, args", [
+        ("delete", (10,)), ("delete", (15,)), ("extract_min", ()),
+        ("extract_max", ())], ids=["delete-10", "delete-15", "extract_min",
+                                   "extract_max"])
+    def test_a_failed_refilter_keeps_the_ops_charges(self, op, args):
+        # rank 2 holds 11-14, rank 1 [10, 20] and rank 0 15, and the filter
+        # more than twice _small values, so the op rebuilds it after a
+        # rank-1 demotion (10, 20) or rank 0's deactivation (15); the
+        # rebuild raises once the op is done, which is not undone: slots
+        # and counters are the copy's, whose rebuild succeeds
+        bwa = BlackWhiteArray(4, "fixed")
+        bwa.insert_many([11, 12, 13, 14])
+        for v in (20, 10, 15):
+            bwa.insert(v)
+        bwa._filter |= set(range(100, 101 + (bwa._small << 1)))
+        twin = copy.deepcopy(bwa)
+
+        def fail():
+            raise MemoryError("filter rebuild failed")
+        bwa._refilter = fail
+        with pytest.raises(MemoryError):
+            getattr(bwa, op)(*args)
+        assert getattr(twin, op)(*args) is not None
         assert _active(bwa) == _active(twin)
-        assert twin.counters.demotes == 1
+
+    @pytest.mark.parametrize("op, args", [
+        ("delete", (50,)), ("extract_min", ()), ("extract_max", ())],
+        ids=["delete-50", "extract_min", "extract_max"])
+    def test_a_failed_rank_two_demotion_keeps_the_ops_charges(self, op,
+                                                                args):
+        # rank 3 holds 10-17 and rank 2 [1, 50, 51]: the op leaves rank 2
+        # half full, and its demotion's write raises, which is not undone;
+        # the op keeps what it charged first, its search or its fold, and
+        # its move
+        bwa = BlackWhiteArray(5, "fixed")
+        bwa.insert_many(range(10, 18))
+        bwa.insert_many([1, 2, 50, 51])
+        bwa.delete(2)
+        assert bwa.occupancy == (0, 0, 3, 8, 0)
+        twin = copy.deepcopy(bwa)
+
+        def fail(*_):
+            raise MemoryError("write failed")
+        bwa._write = fail
+        with pytest.raises(MemoryError):
+            getattr(bwa, op)(*args)
+        charged = twin.counters
+        if op == "delete":
+            twin.search(*args)
+        else:
+            charged.comparisons += 1        # the fold of ranks 3 and 2
+        charged.moves += 1
+        assert bwa.counters == charged
 
 
 class TestCapacity:

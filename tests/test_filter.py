@@ -18,7 +18,7 @@ import pytest
 import bwa.core as core
 from bwa import BlackWhiteArray, ReferenceModel
 
-from conftest import Narrow
+from conftest import Narrow, Native, record_native
 from test_stateful import spec_search, spec_search_charge
 
 CLASSES = [BlackWhiteArray, Narrow]
@@ -130,8 +130,10 @@ class TestVoidCompare:
 
 
 class TestSkip:
-    @pytest.mark.parametrize("cls", CLASSES)
+    @pytest.mark.parametrize("cls", [*CLASSES, Native])
     def test_a_miss_bisects_no_filtered_rank(self, cls, monkeypatch):
+        # Native's top rank, of 8 slots, is searched by numpy, and the
+        # recording sees it too
         bwa = _state(cls, "int64", (10, 20, 30, 40))
         bisected = []
 
@@ -143,6 +145,10 @@ class TestSkip:
         monkeypatch.setattr(core, "bisect_left", bisect_left)
         top = _top(cls)
         twin = _unfiltered(bwa)
+        for b in (bwa, twin):
+            record_native(b, bisected)
+        assert bwa.validate() == [] and list(bwa._views) == (
+            [top] if cls is Native else [])
         # misses bisect the top rank alone; hits every rank down to theirs
         for probe, ranks in ((25, [top]), (6, [top]), (20, [top, 2]),
                              (8, [top, 2, 1]), (9, [top, 2, 1, 0]),

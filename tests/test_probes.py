@@ -11,7 +11,7 @@ import pytest
 
 from bwa import BlackWhiteArray, ReferenceModel
 
-from conftest import Narrow
+from conftest import Narrow, Native, record_native
 
 NAN = float("nan")
 
@@ -227,3 +227,174 @@ class TestFloat32:
         assert bwa.delete(np.float32(0.1)) is not None
         assert bwa.delete(self.F) is not None and bwa.delete(self.F) is None
         assert list(bwa) == [0.25, 3.0, 2.0 ** 24] and bwa.validate() == []
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _native_twins(dtype):
+    """``Native`` and ``Narrow`` after one history of inserts and deletes
+    over values spread across the dtype's range, its ends included."""
+    info = np.iinfo(dtype)
+    rng = random.Random(29)
+    pool = [info.min, info.min + 1, info.max - 1, info.max, 40, 41] + [
+        rng.randint(info.min, info.max) for _ in range(30)]
+    values = [rng.choice(pool) for _ in range(400)]
+    twins = []
+    for cls in (Native, Narrow):
+        bwa = cls(1, dtype=dtype)
+        for v in values:
+            bwa.insert(v)
+        for v in values[::4]:
+            bwa.delete(v)
+        assert bwa.validate() == []
+        twins.append(bwa)
+    return twins, pool
+
+
+def _answers(bwa, p):
+    """Every query's answer for probe ``p``, and the slot a delete of it
+    returns on a copy."""
+    return (bwa.search(p), bwa.lower_bound(p), bwa.upper_bound(p),
+            bwa.interval(p, p), bwa.interval(p, p + 1000),
+            copy.deepcopy(bwa).delete(p))
+
+
+class TestNativeStep:
+    """numpy's search of the top segment (``_NATIVE`` slots or more, int64,
+    an int probe int64 holds) returns the slots the bisection returns, with
+    the same charges: ``Native`` answers every probe as ``Narrow``, whose
+    bridges it shares, and counts the same.  Every other integer dtype is
+    bisected: numpy would search it in the common dtype of the slots and
+    an int probe's int64, converting the segment (float64 on uint64)."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: d.__name__)
+    def test_mixed_probes_as_the_bisection(self, dtype):
+        (native, narrow), pool = _native_twins(dtype)
+        searched = []
+        record_native(native, searched)
+        info = np.iinfo(dtype)
+        probes = pool + [p + d for p in pool for d in (-1, 1)] + [
+            float(p) for p in pool] + [
+            2 ** 70, -(2 ** 70), -1, 2.5, -1.5, 40.0, 41.0,
+            np.int64(40), np.int32(-7), np.uint64(41), np.float64(40.0),
+            True, False, np.bool_(True)]
+        for p in probes:
+            assert _answers(native, p) == _answers(narrow, p), p
+        assert vars(native.counters) == vars(narrow.counters)
+        if dtype is np.int64:                 # the native step ran
+            assert native._views and searched
+        else:
+            assert native._views == {}
+        for bwa in (native, narrow):
+            assert bwa.validate() == []
+
+    def test_an_int_probe_is_compared_exactly(self):
+        # a float64 cast would read 2**53 + 1 as 2**53
+        big = 2 ** 53
+        bwa = Native.from_values([big + 1 + 2 * k for k in range(8)])
+        searched = []
+        record_native(bwa, searched)
+        assert bwa.lower_bound(2.0 ** 53) == big + 1
+        assert bwa.upper_bound(2.0 ** 53 + 2) == big + 1
+        assert bwa.search(float(big)) is None and searched == []
+        assert bwa.lower_bound(big) == big + 1
+        assert bwa.upper_bound(big + 2) == big + 1
+        assert bwa.lower_bound(big + 3) == big + 5     # a stored probe: the
+        assert bwa.upper_bound(big + 3) == big + 1     # side decides
+        assert bwa.search(big + 1) == 8 and searched == [3] * 5
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+    def test_other_dtypes_are_bisected(self, dtype):
+        # numpy would compare the int probe 2**53 + 1 with 2.0**53 rounded
+        big = 2 ** 53
+        bwa = Native.from_values([big + 2 * k for k in range(8)], dtype=dtype)
+        assert bwa._views == {}
+        assert bwa.upper_bound(big + 1) == big
+        assert bwa.lower_bound(big - 1) == big
+        assert bwa.search(big + 1) is None
+
+    def test_which_steps_are_numpys(self):
+        searched = []
+        small = Native.from_values(range(4))        # rank 2: 4 slots
+        record_native(small, searched)
+        small.search(2)
+        assert searched == []
+        least = Native.from_values(range(8))        # rank 3: _NATIVE slots
+        record_native(least, searched)
+        assert least.search(2) == 10 and least.lower_bound(2) == 3
+        assert least.upper_bound(2) == 1 and least.interval(2, 3) == [2, 3]
+        assert searched == [3] * 4
+        searched.clear()
+        bwa = Native.from_values(range(24))         # ranks 4 and 3
+        assert bwa._links[3] is not None            # rank 3 is bridged
+        record_native(bwa, searched)
+        for p in (20, 3, np.int64(5)):              # the top alone
+            bwa.search(p)
+            bwa.lower_bound(p)
+            bwa.upper_bound(p)
+            bwa.interval(p, 30)
+        assert searched == [4] * 12
+        searched.clear()
+        for p in (2.0, 2.5, 2 ** 70, -(2 ** 63) - 1, True):
+            bwa.search(p)
+            bwa.lower_bound(p)
+            bwa.interval(p, 2 ** 70)
+        assert searched == []
+
+
+class TestNativeViews:
+    """The views numpy searches cover the ranks of ``_NATIVE`` slots or
+    more, over the current slots after every path that replaces them;
+    ``validate()`` reports a view left over the old ones."""
+
+    @staticmethod
+    def _stale(bwa, old):
+        bwa._views = old
+        return bwa.validate()
+
+    @pytest.mark.parametrize("path", ["grow", "compact", "pickle", "deepcopy"])
+    def test_views_follow_the_slots(self, path):
+        bwa = Native.from_values(range(40))
+        assert sorted(bwa._views) == [3, 4, 5]
+        old = bwa._views
+        if path == "grow":
+            bwa.insert_many(range(40, 100))
+            assert bwa.counters.grows == 1
+        elif path == "compact":
+            for v in range(0, 40, 3):
+                bwa.delete(v)
+            bwa.compact()
+        else:
+            bwa = (pickle.loads(pickle.dumps(bwa)) if path == "pickle"
+                   else copy.deepcopy(bwa))
+        assert bwa.validate() == []
+        assert sorted(bwa._views) == list(range(3, bwa.cap_exp))
+        for r, view in bwa._views.items():
+            assert np.shares_memory(view, bwa._white)
+            assert view.size == 1 << r and view.base is not None
+        problems = self._stale(bwa, old)
+        stale = [f"rank {r}: segment view stale (not over the current slots)"
+                 for r in old]
+        if path == "grow":
+            assert problems == [
+                "segment views of ranks [3, 4, 5], not [3, 4, 5, 6]"] + stale
+        else:
+            assert problems == stale
+
+    @pytest.mark.parametrize("off", [slice(17, 33), slice(16, 48, 2)],
+                             ids=["one-slot-on", "every-other-slot"])
+    def test_a_view_off_the_slots_is_stale(self, off):
+        bwa = Native.from_values(range(40))
+        bwa._views[4] = bwa._white[off]
+        assert bwa.validate() == [
+            "rank 4: segment view stale (not over the current slots)"]
+
+    def test_the_class_builds_them_from_2_19_slots(self):
+        assert BlackWhiteArray._NATIVE == 1 << 19
+        assert BlackWhiteArray(19)._views == {}
+        assert sorted(BlackWhiteArray(21)._views) == [19, 20]
+        for dtype in (np.float64, np.uint64, np.int32):
+            assert BlackWhiteArray(21, dtype=dtype)._views == {}

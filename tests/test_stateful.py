@@ -19,7 +19,9 @@ they were.
 The int64 and float64 machines run the
 class as it is.  The others run ``Narrow``, whose small states already
 bisect through bridges: int64, uint64, float32, and int64 under the fixed
-policy, where an insert past capacity must leave the structure as it was.
+policy, where an insert past capacity must leave the structure as it was;
+and int64 on ``Native``, which searches a top segment of 8 slots or more
+with numpy, against the same specs.
 A ``sortedcontainers.SortedList`` runs beside the model as a second oracle:
 every answer and the drain after every rule must equal its answers too.
 """
@@ -34,7 +36,7 @@ from sortedcontainers import SortedList
 from bwa import BlackWhiteArray, CapacityExceeded, ReferenceModel
 from bwa.core import _layout as compact_layout
 
-from conftest import Narrow
+from conftest import Narrow, Native
 
 
 def _active(bwa, highest_first=False):
@@ -375,6 +377,12 @@ class FixedQuerySurface(NarrowQuerySurface):
     cap_exp = 8
 
 
+class NativeQuerySurface(QuerySurface):
+    """int64 on ``Native``: numpy searches the top segment."""
+
+    cls = Native
+
+
 class FloatQuerySurface(QuerySurface):
     """float64: values the halves 0.0..6.0, probes the quarters around them."""
 
@@ -415,6 +423,8 @@ TestUintQuerySurface = UintQuerySurface.TestCase
 TestUintQuerySurface.settings = _settings
 TestFixedQuerySurface = FixedQuerySurface.TestCase
 TestFixedQuerySurface.settings = _settings
+TestNativeQuerySurface = NativeQuerySurface.TestCase
+TestNativeQuerySurface.settings = _settings
 TestFloatQuerySurface = FloatQuerySurface.TestCase
 TestFloatQuerySurface.settings = _settings
 TestFloat32QuerySurface = Float32QuerySurface.TestCase

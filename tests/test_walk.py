@@ -22,7 +22,7 @@ import pytest
 import bwa.core as core
 from bwa import BlackWhiteArray, Counters
 
-from conftest import Narrow
+from conftest import Narrow, Native
 
 CLASSES = [BlackWhiteArray, Narrow]
 
@@ -173,6 +173,8 @@ def _contents(v):
         return bytes(v)
     if isinstance(v, Counters):
         return {k: x for k, x in vars(v).items() if k != "comparisons"}
+    if isinstance(v, dict):                 # the segment views, _views
+        return {k: _contents(x) for k, x in v.items()}
     return copy.deepcopy(v)
 
 
@@ -219,7 +221,7 @@ def _run(bwa, reads):
 
 
 class TestReadersWriteNothing:
-    @pytest.mark.parametrize("cls", CLASSES)
+    @pytest.mark.parametrize("cls", [*CLASSES, Native])
     @pytest.mark.parametrize("dtype", ["int64", "float64"])
     def test_every_read_leaves_the_instance(self, cls, dtype):
         bwa = _churned(cls, dtype, 3000, 7)
