@@ -80,12 +80,6 @@ class CapacityExceeded(RuntimeError):
     """Insert into a full array under the fixed growth policy."""
 
 
-class _Undone(MemoryError):
-    """A rank-1 demotion whose re-insert raised, undone with the delete
-    that voided rank 1 (``BlackWhiteArray._demote``); the op that deleted
-    takes back its own charges."""
-
-
 @dataclass
 class Counters:
     """Cost instrumentation.
@@ -125,11 +119,11 @@ class Counters:
     An ``insert_many`` block, and each rank ``compact`` writes, is sorted,
     not merged pairwise: one merge, ``2**r`` moves and no comparisons.
     Beyond writes, an insert into rank 0 and a delete move one slot each,
-    and a demotion counts one ``demotes``; rank 1's, a re-insert of its
-    survivor, is charged that insert: 1 comparison, 1 merge and 3 moves
-    with rank 0's value into rank 1, or 1 move into rank 0.  Bridge builds
-    and the search filter's upkeep charge nothing.  ``from_values`` leaves
-    every counter at 0.
+    and a demotion counts one ``demotes``; rank 1's, which writes its one
+    survivor itself, is charged as the scalar insert of it: 1 comparison,
+    1 merge and 3 moves with rank 0's value into rank 1, or 1 move into
+    rank 0.  Bridge builds and the search filter's upkeep charge nothing.
+    ``from_values`` leaves every counter at 0.
     """
 
     comparisons: int = 0
@@ -462,8 +456,6 @@ class BlackWhiteArray:
             # the carry of total + 1: the value and the ranks below s into s
             self._write(s.bit_length() - 1, 1, 0, True)
 
-    _insert = insert    # ``_demote``'s re-insert, past a subclass's ``insert``
-
     def insert_many(self, values) -> None:
         """Add every value of ``values``, leaving slot for slot the state
         that ``for v in values: insert(v)`` would leave.
@@ -512,22 +504,10 @@ class BlackWhiteArray:
         self.__dict__ = vars(fresh)
 
     def delete(self, value) -> Optional[int]:
-        """Void one occurrence; returns the slot index it held, or None.
-        A delete whose demotion of rank 1 raises leaves the structure and
-        its counters as they were (``_demote``)."""
+        """Void one occurrence; returns the slot index it held, or None."""
         idx = self.search(value)
-        if idx is None:
-            return None
-        try:
+        if idx is not None:
             self._delete_at(idx)
-        except _Undone:
-            # the demotion has undone the void; the search's charge goes
-            # too, which the same search of the state it read repeats
-            ctr = self.counters
-            charged = ctr.comparisons
-            self.search(value)
-            ctr.comparisons = 2 * charged - ctr.comparisons
-            raise
         return idx
 
     def extract_min(self):
@@ -993,31 +973,30 @@ class BlackWhiteArray:
         segment completely.  If the lower rank already holds data, they are
         written back into ``rank`` with it; either way occupancy ends above 75%.
 
-        Rank 1's one survivor is inserted again by this class's ``insert``
-        (``_insert``, which a subclass's wrapper of ``insert`` does not
-        see): into rank 0, or with rank 0's value into rank 1, with the
-        slots and charges of either move.  When the filter's add in that
-        insert raises, no slot but the survivor's destination (slot 1 or
-        2) has changed, and rank 1 is put back as it was before the delete
-        that voided it: both slots, both mask bytes, its occupancy,
-        ``total`` and the delete's move, and ``_Undone`` tells the op so.
-        A ``MemoryError`` from anywhere else is not undone.
+        Rank 1's one survivor is written here, with the slots and charges
+        the scalar ``insert`` of it would leave: into slot 1 (1 move), or,
+        with rank 0's value, into slots 2-3, the survivor first on a tie
+        (1 comparison, 1 merge, 3 moves).  Either way ``total`` drops by
+        1, and the filter, which holds the survivor already, is not called.
         """
         if rank == 1:
-            wv, mask = self._wv, self._mask
-            a, b = wv[2], wv[3]
-            v = a if mask[2] else b
-            self._occ[1] = 0
-            self._total -= 2
-            try:
-                self._insert(v)
-            except MemoryError as err:      # from the filter's add
-                wv[2], wv[3] = a, b
+            wv, mask, occ = self._wv, self._mask, self._occ
+            v = wv[2] if mask[2] else wv[3]
+            ctr = self.counters
+            if self._total & 1:             # with rank 0's value
+                w = wv[1]
+                wv[2], wv[3] = (v, w) if v <= w else (w, v)
                 mask[2] = mask[3] = 1
-                self._occ[1] = 2
-                self._total += 2
-                self.counters.moves -= 1
-                raise _Undone(*err.args) from err
+                occ[0], occ[1] = 0, 2
+                ctr.comparisons += 1
+                ctr.merges += 1
+                ctr.moves += 3
+            else:                           # into rank 0
+                wv[1] = v
+                mask[1] = 1
+                occ[0], occ[1] = 1, 0
+                ctr.moves += 1
+            self._total -= 1
         else:
             s = 1 << rank
             k = self._occ[rank]
@@ -1168,9 +1147,8 @@ class BlackWhiteArray:
         folded with a tie to the later candidate, the lower rank, as
         ``_nearest`` folds.  The loop tests no direction; the top
         segment's candidate starts the fold, with no compare.  Charged 1
-        comparison per fold, one fewer than the active segments, taken back
-        when the removal is undone (``_Undone``).  An active segment always
-        holds an occupied slot."""
+        comparison per fold, one fewer than the active segments.  An active
+        segment always holds an occupied slot."""
         t = self._total
         if not t:
             return None
@@ -1184,11 +1162,7 @@ class BlackWhiteArray:
             if value is None or x <= value:
                 best, value = k, x
         if remove:
-            try:
-                self._delete_at(best)
-            except _Undone:                 # total is as it was again
-                self.counters.comparisons -= self._total.bit_count() - 1
-                raise
+            self._delete_at(best)
         return value
 
     def _last(self, remove: bool):
@@ -1209,9 +1183,5 @@ class BlackWhiteArray:
             if value is None or x >= value:
                 best, value = k, x
         if remove:
-            try:
-                self._delete_at(best)
-            except _Undone:                 # as in _first
-                self.counters.comparisons -= self._total.bit_count() - 1
-                raise
+            self._delete_at(best)
         return value

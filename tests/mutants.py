@@ -124,12 +124,22 @@ MUTANTS = (
             "tests/test_pairwise.py"
             "::test_one_write_carry_matches_pairwise_chain")),
     Mutant("demote-survivor-from-3",
-           "v = a if mask[2] else b",
-           "v = b",
+           "v = wv[2] if mask[2] else wv[3]",
+           "v = wv[3]",
            ("tests/test_pairwise.py"
             "::test_rank_one_demotion_matches_pairwise_chain",
             "tests/test_core.py::TestRankOneDemotion",
             "tests/test_stateful.py::TestIntQuerySurface")),
+    Mutant("demote-tie-to-rank-0",
+           "if v <= w",
+           "if v < w",
+           ("tests/test_pairwise.py"
+            "::test_rank_one_demotion_matches_pairwise_chain",)),
+    Mutant("demote-merge-undercharged",
+           "ctr.moves += 3",
+           "ctr.moves += 1",
+           ("tests/test_pairwise.py"
+            "::test_rank_one_demotion_matches_pairwise_chain",)),
     Mutant("demote-uncounted",
            "self.counters.demotes += 1",
            "self.counters.demotes += 0",
@@ -143,41 +153,6 @@ MUTANTS = (
            "        self.counters.demotes += 1\n",
            ("tests/test_filter.py::TestUpkeep"
             "::test_rank_one_demotions_alone_keep_it_bounded",)),
-    Mutant("demote-undo-dropped",
-           "                self._total += 2\n",
-           "                pass\n",
-           ("tests/test_core.py::TestRankOneDemotion",)),
-    Mutant("demote-undo-keeps-the-void",
-           "                wv[2], wv[3] = a, b\n"
-           "                mask[2] = mask[3] = 1\n"
-           "                self._occ[1] = 2\n",
-           "                self._occ[1] = 1\n",
-           ("tests/test_core.py::TestRankOneDemotion"
-            "::test_failed_reinsert_is_undone",
-            "tests/test_core.py::TestRankOneDemotion"
-            "::test_a_carry_after_a_failed_delete")),
-    Mutant("delete-undo-charged",
-           "            ctr.comparisons = 2 * charged - ctr.comparisons\n",
-           "",
-           ("tests/test_core.py::TestRankOneDemotion"
-            "::test_failed_reinsert_is_undone",)),
-    Mutant("delete-undo-caught-wide",
-           "        except _Undone:\n"
-           "            # the demotion has undone the void",
-           "        except MemoryError:\n"
-           "            # the demotion has undone the void",
-           ("tests/test_core.py::TestRankOneDemotion"
-            "::test_a_failed_refilter_keeps_the_ops_charges",
-            "tests/test_core.py::TestRankOneDemotion"
-            "::test_a_failed_rank_two_demotion_keeps_the_ops_charges")),
-    Mutant("first-undo-uncharged",
-           "            except _Undone:                 # total is as it was"
-           " again\n"
-           "                self.counters.comparisons -= "
-           "self._total.bit_count() - 1\n",
-           "            except _Undone:\n",
-           ("tests/test_core.py::TestRankOneDemotion"
-            "::test_failed_reinsert_is_undone",)),
     Mutant("native-side-swapped",
            'value, "right" if above else "left")) + s',
            'value, "left" if above else "right")) + s',

@@ -329,46 +329,60 @@ class TestRankOneDemotion:
         ("delete", (10,)), ("delete", (20,)), ("extract_min", ()),
         ("extract_max", ())], ids=["delete-10", "delete-20", "extract_min",
                                    "extract_max"])
-    def test_failed_reinsert_is_undone(self, taken, op, args):
+    def test_the_demotion_calls_no_filter(self, taken, op, args):
         # rank 2 holds 11-14, rank 1 [10, 20] and, when taken, rank 0 15:
-        # the op voids one of rank 1's values, and the re-insert of the
-        # other fails at the filter's add
+        # the op voids one of rank 1's values, and the demotion writes the
+        # other, which the filter holds already, without adding it; so a
+        # filter whose add fails does not stop the op
         bwa = BlackWhiteArray(4, "fixed")
         bwa.insert_many([11, 12, 13, 14])
         bwa.insert(20)
         bwa.insert(10)
         if taken:
             bwa.insert(15)
-        before = copy.deepcopy(bwa)
-        bwa._filter = _FailingFilter(bwa._filter)
-        with pytest.raises(MemoryError):
-            getattr(bwa, op)(*args)
-        # the state before the op: slots, mask, occupancy, total, counters
-        assert bwa.validate() == []
-        assert _active(bwa) == _active(before)
-        assert bwa._filter >= before._filter
-        # the op run again completes as on the copy
+        twin = copy.deepcopy(bwa)
         values = list(bwa)
         values.remove(args[0] if args else 10 if op == "extract_min" else 20)
-        bwa._filter = set(bwa._filter)
-        assert getattr(bwa, op)(*args) == getattr(before, op)(*args)
-        assert bwa.validate() == [] and list(bwa) == values
-        assert _active(bwa) == _active(before)
-        assert before.counters.demotes == 1
-
-    def test_a_carry_after_a_failed_delete(self):
-        # rank 1 [10, 20] and rank 0 15: the failed delete(10) leaves 10
-        # live, so the carry into 4 slots writes all four values
-        bwa = BlackWhiteArray(4, "fixed")
-        for v in (20, 10, 15):
-            bwa.insert(v)
         bwa._filter = _FailingFilter(bwa._filter)
-        with pytest.raises(MemoryError):
-            bwa.delete(10)
+        assert getattr(bwa, op)(*args) == getattr(twin, op)(*args)
+        assert bwa.validate() == [] and list(bwa) == values
+        assert bwa.counters.demotes == 1
+        # slots, mask, occupancy, total and counters as on the copy
+        assert _active(bwa) == _active(twin)
+
+    @pytest.mark.parametrize("taken", [True, False],
+                             ids=["rank-0-taken", "rank-0-free"])
+    @pytest.mark.parametrize("op, args", [
+        ("delete", (10,)), ("delete", (20,)), ("extract_min", ()),
+        ("extract_max", ())], ids=["delete-10", "delete-20", "extract_min",
+                                   "extract_max"])
+    def test_a_carry_after_the_demotion(self, taken, op, args):
+        # the state above, demoted with the failing filter, which is then
+        # swapped for a plain set of its values: three inserts carry
+        # through ranks 0 and 1 as on the copy, and the filter, the walk
+        # and every search agree with it
+        bwa = BlackWhiteArray(4, "fixed")
+        bwa.insert_many([11, 12, 13, 14])
+        bwa.insert(20)
+        bwa.insert(10)
+        if taken:
+            bwa.insert(15)
+        twin = copy.deepcopy(bwa)
+        values = list(bwa)
+        values.remove(args[0] if args else 10 if op == "extract_min" else 20)
+        bwa._filter = _FailingFilter(bwa._filter)
+        assert getattr(bwa, op)(*args) == getattr(twin, op)(*args)
         bwa._filter = set(bwa._filter)
-        bwa.insert(30)
-        assert bwa.segment_slots(2) == [10, 15, 20, 30]
-        assert bwa.occupancy == (0, 0, 4, 0) and bwa.validate() == []
+        for v in (16, 9, 21):
+            bwa.insert(v)
+            twin.insert(v)
+        assert bwa.validate() == []
+        assert list(bwa) == list(twin) == sorted(values + [16, 9, 21])
+        assert bwa._filter == twin._filter
+        assert _active(bwa) == _active(twin)
+        for v in range(8, 23):
+            assert bwa.search(v) == twin.search(v), v
+        assert bwa.counters == twin.counters
 
     @pytest.mark.parametrize("op, args", [
         ("delete", (10,)), ("delete", (15,)), ("extract_min", ()),
